@@ -10,6 +10,7 @@ digests and replay comparisons meaningful.
 from __future__ import annotations
 
 import struct
+from typing import Optional
 
 
 class DecodeError(ValueError):
@@ -48,6 +49,11 @@ def pack(*fields: bytes) -> bytes:
 
 def text(value: str) -> bytes:
     return value.encode("utf-8")
+
+
+def opt(value: Optional[bytes]) -> bytes:
+    """Optional field: 0x00 for None, else 0x01 followed by the bytes."""
+    return b"\x00" if value is None else b"\x01" + value
 
 
 class ByteReader:

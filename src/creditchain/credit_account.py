@@ -140,16 +140,12 @@ class CreditAccountContract:
             state.customer_key,
             state.institution_key,
             codec.u64(state.expiration),
-            _opt(state.commitment),
-            _opt(None if state.data_mode is None else codec.text(state.data_mode)),
-            _opt(state.data),
-            _opt(state.next_account),
-            _opt(pending if state.pending_expiration is not None else None),
+            codec.opt(state.commitment),
+            codec.opt(None if state.data_mode is None else codec.text(state.data_mode)),
+            codec.opt(state.data),
+            codec.opt(state.next_account),
+            codec.opt(pending if state.pending_expiration is not None else None),
         )
-
-
-def _opt(value: Optional[bytes]) -> bytes:
-    return b"\x00" if value is None else b"\x01" + value
 
 
 def _u64_arg(args: bytes) -> int:

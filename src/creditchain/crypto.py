@@ -145,11 +145,6 @@ def generate_keypair(seed: bytes, role: str = ROLE_TRUE_IDENTITY) -> KeyPair:
     return KeyPair(private.public_key(), private, role)
 
 
-def keypair_from_private(private: PrivateKey, role: str) -> KeyPair:
-    """Rebuild the full pair from a serialized private key."""
-    return KeyPair(private.public_key(), private, role)
-
-
 # ---------------------------------------------------------------------------
 # Signatures
 # ---------------------------------------------------------------------------

@@ -86,15 +86,11 @@ class IdentityContract:
             parts.append(codec.pack(
                 record.key,
                 record.fingerprint,
-                _opt(record.first_public_record),
-                _opt(record.first_credit_account),
+                codec.opt(record.first_public_record),
+                codec.opt(record.first_credit_account),
                 codec.u32(len(record.certificates)) + b"".join(record.certificates),
             ))
         return b"".join(parts)
-
-
-def _opt(value: Optional[bytes]) -> bytes:
-    return b"\x00" if value is None else b"\x01" + value
 
 
 def _register(state: IdentityState, ctx: CallContext, fingerprint: bytes) -> IdentityState:

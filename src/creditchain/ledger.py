@@ -1,14 +1,19 @@
 """Append-only simulated ledger executing registered contract kinds.
 
-The ledger is a list of blocks, each holding at most one signed transaction;
-``advance_block`` inserts empty blocks so tests can position height-sensitive
-operations (expirations) precisely.  A transaction either deploys a new
-contract or calls a function on an existing one.  Contract logic lives in
-transition functions registered per kind; a transition computes the target's
-next state and may read or stage other contracts through the call context,
-but the whole transaction commits atomically — a rejection discards every
-staged change and leaves all state exactly as it was, while the transaction
-itself still lands in the log with its rejection reason.
+The ledger keeps a log of signed transactions, one per block, and the
+current state of each contract; nothing else.  Blocks are implicit: the
+height is a counter, each transaction records the block it landed in, and
+``advance_block`` skips empty blocks in O(1) so tests can position
+height-sensitive operations (expirations) precisely.  The block list is
+rebuilt from the log and a contract's state history by re-executing it.
+
+A transaction either deploys a new contract or calls a function on an
+existing one.  Contract logic lives in transition functions registered per
+kind; a transition computes the target's next state and may read or stage
+other contracts through the call context, but the whole transaction commits
+atomically — a rejection discards every staged change and leaves all state
+exactly as it was, while the transaction itself still lands in the log with
+its rejection reason.
 
 Transitions must do a bounded amount of work per call: table lookups and a
 fixed number of cross-contract reads, never iteration over a whole chain or
@@ -24,8 +29,8 @@ every contract state byte for byte, which ``replay`` verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, ClassVar, Optional, Protocol
+from dataclasses import dataclass, replace
+from typing import Any, ClassVar, Optional, Protocol
 
 from . import codec, crypto
 
@@ -207,7 +212,7 @@ class _ContractRecord:
     kind: str
     cls: Any
     state: Any
-    history: list[HistoryEntry]
+    created: int  # block of the deploying transaction
 
 
 class CallContext:
@@ -276,7 +281,6 @@ class Ledger:
     def __init__(self) -> None:
         self._contracts: dict[Address, _ContractRecord] = {}
         self._log: list[LogEntry] = []
-        self._blocks: list[list[LogEntry]] = [[]]
         self._height = 0
         self._tx_counts: dict[bytes, int] = {}
 
@@ -290,14 +294,16 @@ class Ledger:
         """Append ``count`` empty blocks; returns the new height."""
         if count < 0:
             raise ValueError("cannot advance by a negative count")
-        for _ in range(count):
-            self._height += 1
-            self._blocks.append([])
+        self._height += count
         return self._height
 
     @property
     def blocks(self) -> list[list[LogEntry]]:
-        return [list(b) for b in self._blocks]
+        """Every block up to and including the open one, rebuilt from the log."""
+        blocks: list[list[LogEntry]] = [[] for _ in range(self._height + 1)]
+        for entry in self._log:
+            blocks[entry.tx.block].append(entry)
+        return blocks
 
     @property
     def log(self) -> list[LogEntry]:
@@ -334,9 +340,13 @@ class Ledger:
             raise BadSignature("transaction signature does not verify")
         if tx.target is not None and tx.target not in self._contracts:
             raise UnknownAddress(tx.target.hex)
+        return self._execute(tx, len(self._log))
 
-        seq = len(self._log)
-        tx = replace(tx, block=self._height)
+    def _execute(self, tx: Transaction, seq: int) -> CallReceipt:
+        """Apply an admitted transaction in the open block, log it, and
+        commit its changes if the transition accepted it."""
+        if tx.block != self._height:  # logged and decoded transactions already carry it
+            tx = replace(tx, block=self._height)
         ctx = CallContext(self, tx, seq, tx.target)
         try:
             if tx.is_deploy():
@@ -360,9 +370,7 @@ class Ledger:
                                 result=ctx.result, created=tuple(ctx.created))
         for address, (contract_cls, state) in ctx.created.items():
             self._contracts[address] = _ContractRecord(
-                kind=contract_cls.KIND, cls=contract_cls, state=state,
-                history=[HistoryEntry(receipt.block, tx, state)],
-            )
+                kind=contract_cls.KIND, cls=contract_cls, state=state, created=receipt.block)
         if new_target_state is not None:
             self._commit(tx.target, new_target_state, tx, receipt.block)
         for address, state in ctx.staged.items():
@@ -370,20 +378,18 @@ class Ledger:
         return receipt
 
     def _commit(self, address: Address, state: Any, tx: Transaction, block: int) -> None:
-        record = self._contracts[address]
-        record.state = state
-        record.history.append(HistoryEntry(block, tx, state))
+        """Install one contract's new state; every commit but a creation
+        passes here, which is what ``_HistoryRecorder`` hooks."""
+        self._contracts[address].state = state
 
     def _include(self, tx: Transaction, seq: int, *, accepted: bool, reason: Optional[str],
                  result: Optional[bytes] = None, created: tuple[Address, ...] = ()) -> CallReceipt:
         entry = LogEntry(seq=seq, tx=tx, accepted=accepted, reason=reason)
         self._log.append(entry)
-        self._blocks[self._height].append(entry)
         block = self._height
         self._tx_counts[tx.caller] = self._tx_counts.get(tx.caller, 0) + 1
         # one transaction per block: seal immediately
         self._height += 1
-        self._blocks.append([])
         return CallReceipt(accepted=accepted, reason=reason, block=block, seq=seq,
                            result=result, created=created)
 
@@ -401,11 +407,31 @@ class Ledger:
         return self._record(address).state
 
     def history(self, address: Address) -> list[HistoryEntry]:
-        """Chronological state changes; the first entry is the deployment."""
-        return list(self._record(address).history)
+        """Chronological state changes; the first entry is the deployment.
+
+        After it comes one entry per accepted transaction that committed the
+        address, as its target or as a staged cross-contract change — even
+        when the committed state equals the previous one.  Nothing stores
+        this: it is rebuilt by re-executing the log on a scratch ledger,
+        which costs O(log length) per call, so it is meant for audits and
+        tests, not for the transaction path.  Signatures are not checked
+        again (every logged transaction passed them on admission), and
+        rejected transactions are skipped, since a rejection commits nothing.
+        """
+        self._record(address)  # UnknownAddress for a stranger
+        scratch = _HistoryRecorder(address)
+        for entry in self._log:
+            if not entry.accepted:
+                continue
+            scratch.advance_block(entry.tx.block - scratch.height)
+            receipt = scratch._execute(entry.tx, entry.seq)
+            if address in receipt.created:
+                scratch.entries.append(HistoryEntry(receipt.block, entry.tx,
+                                                    scratch.read_state(address)))
+        return scratch.entries
 
     def creation_block(self, address: Address) -> int:
-        return self._record(address).history[0].block
+        return self._record(address).created
 
     def addresses(self) -> list[Address]:
         return list(self._contracts)
@@ -462,32 +488,19 @@ class Ledger:
 
         Every transaction must reproduce its recorded accept/reject status
         and every contract its recorded state digest, else ReplayMismatch.
+        Bytes that do not decode as an export raise ReplayMismatch too, so a
+        ledger this returns re-exports to exactly ``data``.
         """
-        reader = codec.ByteReader(data)
-        if reader.take(4) != EXPORT_MAGIC:
-            raise ReplayMismatch("not a ledger export")
-        version = reader.u16()
-        if version != EXPORT_VERSION:
-            raise ReplayMismatch(f"unsupported export version {version}")
-        final_height = reader.u64()
-        n_txs = reader.u32()
+        try:
+            final_height, records, footer = _decode_export(data)
+        except ValueError as exc:  # codec.DecodeError, bad UTF-8, bad address
+            raise ReplayMismatch(f"malformed export: {exc}") from exc
 
         ledger = cls()
-        for i in range(n_txs):
-            block = reader.u64()
-            rejected = reader.u8()
-            is_deploy = reader.u8()
-            caller = reader.blob()
-            target_raw = reader.blob()
-            function = reader.blob().decode("utf-8")
-            args = reader.blob()
-            signature = reader.blob()
-            target = None if is_deploy else Address(target_raw)
-            if block < ledger.height:
+        for i, (rejected, tx) in enumerate(records):
+            if tx.block < ledger.height:
                 raise ReplayMismatch(f"transaction {i} block number out of order")
-            ledger.advance_block(block - ledger.height)
-            tx = Transaction(caller=caller, target=target, function=function,
-                             args=args, signature=signature)
+            ledger.advance_block(tx.block - ledger.height)
             try:
                 receipt = ledger.submit(tx)
                 accepted = receipt.accepted
@@ -495,21 +508,66 @@ class Ledger:
                 accepted = False
             except LedgerError as exc:
                 raise ReplayMismatch(f"transaction {i} failed to re-execute: {exc}") from exc
-            if accepted == bool(rejected):
+            if accepted == rejected:
                 raise ReplayMismatch(f"transaction {i} outcome diverged on replay")
 
         if final_height < ledger.height:
             raise ReplayMismatch("recorded final height below replayed height")
         ledger.advance_block(final_height - ledger.height)
 
-        n_contracts = reader.u32()
-        replayed = ledger.state_digests()
-        if n_contracts != len(replayed):
+        replayed = [(address.digest, d) for address, d in ledger.state_digests().items()]
+        if len(footer) != len(replayed):
             raise ReplayMismatch("contract count diverged on replay")
-        for _ in range(n_contracts):
-            address = Address(reader.blob())
-            recorded = reader.blob()
-            if replayed.get(address) != recorded:
-                raise ReplayMismatch(f"state digest diverged at {address.hex}")
-        reader.expect_end()
+        for recorded, expected in zip(footer, replayed):
+            if recorded != expected:
+                raise ReplayMismatch(f"state digest diverged at {recorded[0].hex()}")
         return ledger
+
+
+class _HistoryRecorder(Ledger):
+    """Scratch ledger for ``Ledger.history``: re-executes a log and keeps
+    every commit to one address."""
+
+    def __init__(self, address: Address) -> None:
+        super().__init__()
+        self.address = address
+        self.entries: list[HistoryEntry] = []
+
+    def _commit(self, address: Address, state: Any, tx: Transaction, block: int) -> None:
+        super()._commit(address, state, tx, block)
+        if address == self.address:
+            self.entries.append(HistoryEntry(block, tx, state))
+
+
+def _decode_export(data: bytes) -> tuple[int, list[tuple[bool, Transaction]], list[tuple[bytes, bytes]]]:
+    """Split an export into (final height, [(rejected, tx)], [(address, digest)]).
+
+    Accepts only the canonical encoding ``Ledger.export`` writes: flags are
+    0 or 1 and a deployment has an empty target.  Layout errors raise
+    ValueError (codec.DecodeError, UnicodeDecodeError, a bad address).
+    """
+    reader = codec.ByteReader(data)
+    if reader.take(4) != EXPORT_MAGIC:
+        raise ReplayMismatch("not a ledger export")
+    version = reader.u16()
+    if version != EXPORT_VERSION:
+        raise ReplayMismatch(f"unsupported export version {version}")
+    final_height = reader.u64()
+    records = []
+    for i in range(reader.u32()):
+        block = reader.u64()
+        rejected = reader.u8()
+        is_deploy = reader.u8()
+        caller = reader.blob()
+        target_raw = reader.blob()
+        function = reader.blob().decode("utf-8")
+        args = reader.blob()
+        signature = reader.blob()
+        if rejected > 1 or is_deploy > 1 or (is_deploy and target_raw):
+            raise codec.DecodeError(f"transaction {i} has non-canonical flags")
+        target = None if is_deploy else Address(target_raw)
+        records.append((bool(rejected), Transaction(caller=caller, target=target, function=function,
+                                                    args=args, signature=signature, block=block)))
+    footer = [(reader.blob(), reader.blob()) for _ in range(reader.u32())]
+    reader.expect_end()
+    return final_height, records, footer

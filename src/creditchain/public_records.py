@@ -135,15 +135,11 @@ class PublicRecordContract:
         return codec.pack(
             state.author_key,
             state.parent_factory,
-            _opt(None if state.data_mode is None else codec.text(state.data_mode)),
-            _opt(state.data),
-            _opt(state.signature),
-            _opt(state.next_record),
+            codec.opt(None if state.data_mode is None else codec.text(state.data_mode)),
+            codec.opt(state.data),
+            codec.opt(state.signature),
+            codec.opt(state.next_record),
         )
-
-
-def _opt(value: Optional[bytes]) -> bytes:
-    return b"\x00" if value is None else b"\x01" + value
 
 
 def _fill(state: PublicRecordState, ctx: CallContext, args: bytes) -> PublicRecordState:

@@ -74,3 +74,9 @@ def test_unpack_wrong_count_raises():
 
 def test_text_is_utf8():
     assert codec.text("déjà vu") == "déjà vu".encode("utf-8")
+
+
+def test_opt_marks_presence():
+    assert codec.opt(None) == b"\x00"
+    assert codec.opt(b"") == b"\x01"
+    assert codec.opt(b"ab") == b"\x01ab"

@@ -2,6 +2,8 @@
 of submission, staging, and replay are checked independently of the
 domain contracts layered on top."""
 
+import functools
+import time
 from dataclasses import dataclass, replace
 
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 from creditchain import codec, crypto
 from creditchain.ledger import (
+    EXPORT_MAGIC,
+    EXPORT_VERSION,
     Address,
     BadSignature,
     ConstructorRejected,
@@ -281,6 +285,105 @@ def test_replay_rejects_truncation():
     led = busy_ledger()
     with pytest.raises((ReplayMismatch, codec.DecodeError)):
         Ledger.replay(led.export()[:-3])
+
+
+def test_replay_wraps_every_truncation():
+    data = busy_ledger().export()
+    for cut in range(len(data)):
+        with pytest.raises(ReplayMismatch):
+            Ledger.replay(data[:cut])
+
+
+def _one_record_export(is_deploy, target, function):
+    alice = crypto.generate_keypair(b"replay-alice")
+    return b"".join([
+        EXPORT_MAGIC, codec.u16(EXPORT_VERSION), codec.u64(1), codec.u32(1),
+        codec.u64(0), codec.u8(0), codec.u8(is_deploy), codec.blob(alice.public.to_bytes()),
+        codec.blob(target), codec.blob(function), codec.blob(b""), codec.blob(b"sig"),
+        codec.u32(0),
+    ])
+
+
+@pytest.mark.parametrize("is_deploy, target, function", [
+    (0, b"short", b"set"),  # a target that is not a 32-byte address
+    (1, b"", b"\xfftest-probe"),  # a function name that is not UTF-8
+    (2, b"", b"test-probe"),  # a deploy flag that is neither 0 nor 1
+    (1, b"\x00" * 32, b"test-probe"),  # a deployment that names a target
+])
+def test_replay_wraps_malformed_records(is_deploy, target, function):
+    with pytest.raises(ReplayMismatch, match="malformed export"):
+        Ledger.replay(_one_record_export(is_deploy, target, function))
+
+
+def test_replay_rejects_reordered_state_footer():
+    data = busy_ledger().export()
+    entry = 2 * (4 + 32)  # one footer entry: address blob, digest blob
+    last, second_last = data[-entry:], data[-2 * entry:-entry]
+    with pytest.raises(ReplayMismatch):
+        Ledger.replay(data[:-2 * entry] + last + second_last)
+
+
+# -- implicit blocks -------------------------------------------------------------
+
+HEIGHT_OFFSET = len(EXPORT_MAGIC) + 2  # after magic and version
+FIRST_BLOCK_OFFSET = HEIGHT_OFFSET + 8 + 4  # after final height and tx count
+
+
+def _patch_u64(data, offset, value):
+    return data[:offset] + codec.u64(value) + data[offset + 8:]
+
+
+def test_replay_of_huge_final_height_is_constant_time():
+    data = _patch_u64(busy_ledger().export(), HEIGHT_OFFSET, 2**40)
+    started = time.process_time()
+    led = Ledger.replay(data)
+    assert time.process_time() - started < 0.5
+    assert led.height == 2**40
+    assert led.export() == data
+
+
+def test_replay_of_huge_block_number_is_constant_time():
+    data = _patch_u64(busy_ledger().export(), FIRST_BLOCK_OFFSET, 2**40)
+    started = time.process_time()
+    with pytest.raises(ReplayMismatch):
+        Ledger.replay(data)
+    assert time.process_time() - started < 0.5
+
+
+def test_blocks_are_rebuilt_from_the_log(led, alice):
+    addr = deploy_probe(led, alice)
+    led.advance_block(2)
+    led.call(alice, addr, "set", b"x")
+    assert [len(b) for b in led.blocks] == [1, 0, 0, 1, 0]
+    assert led.blocks[3][0] is led.log[1]
+
+
+@st.composite
+def mutated_exports(draw):
+    data = busy_ledger_export()
+    if draw(st.booleans()):
+        return data[:draw(st.integers(0, len(data) - 1))]
+    out = bytearray(data)
+    for index in draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=3)):
+        out[index] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+@functools.cache
+def busy_ledger_export():
+    return busy_ledger().export()
+
+
+@given(mutated_exports())
+@settings(max_examples=300, deadline=None)
+def test_mutated_export_is_refused_or_reproduced(data):
+    """Any truncation or byte flip either fails as ReplayMismatch or replays
+    to a ledger that re-exports to exactly the mutated bytes."""
+    try:
+        led = Ledger.replay(data)
+    except ReplayMismatch:
+        return
+    assert led.export() == data
 
 
 # -- model-based check --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end CLI runs, in-process via cli.main()."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -156,6 +157,30 @@ def test_replay_rejects_corrupted_export(capsys, tmp_path):
     code, _, err = run_cli(capsys, "replay", out_file)
     assert code == 1
     assert "REPLAY FAILED" in err
+
+
+def test_replay_rejects_truncated_export(capsys, tmp_path):
+    out_file = tmp_path / "exported.bin"
+    run_cli(capsys, "export-ledger", out_file, "--scenario", LIFECYCLE)
+    capsys.readouterr()
+    out_file.write_bytes(out_file.read_bytes()[:100])
+    code, _, err = run_cli(capsys, "replay", out_file)
+    assert code == 1
+    assert "REPLAY FAILED: malformed export" in err
+
+
+# Ledger exports are a stored format: the same scenario must keep producing
+# the same bytes unless the export version is bumped.
+EXPORT_SHA256 = {
+    "lifecycle.scn": "7e77f57959fb6f34a3733ee534e016d7de421ace3e435895347ba88b4ebb1ae6",
+    "rejections.scn": "88510dd1bde2a5cfc640e041782e64c1f1677434e6d4458acca90dac0af8400f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_SHA256))
+def test_scenario_exports_are_byte_stable(name):
+    export = run_scenario((SCENARIO_DIR / name).read_text()).world.ledger.export()
+    assert hashlib.sha256(export).hexdigest() == EXPORT_SHA256[name]
 
 
 def test_transcripts_byte_identical_across_runs():
