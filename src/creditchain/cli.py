@@ -140,9 +140,17 @@ def _find_registry(led: Ledger):
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    led = Ledger.replay(args.ledger.read_bytes())
-    bundle = reader.bundle_from_json(args.bundle.read_text(encoding="utf-8"))
-    trust = reader.trust_from_json(args.trust.read_text(encoding="utf-8"))
+    try:
+        led = Ledger.replay(args.ledger.read_bytes())
+    except ReplayMismatch as exc:
+        print(f"REPLAY FAILED: {exc}", file=sys.stderr)
+        return 1
+    try:
+        bundle = reader.bundle_from_json(args.bundle.read_text(encoding="utf-8"))
+        trust = reader.trust_from_json(args.trust.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, reader.MalformedInput) as exc:
+        print(f"unusable input: {exc}", file=sys.stderr)
+        return 2
     try:
         from . import crypto
         identity_key = crypto.PublicKey.from_bytes(bytes.fromhex(args.identity))
@@ -175,7 +183,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 1
     except identity.UnknownIdentity:
         print("VERDICT: that identity key is not registered")
-        return 1
+        return 2
     for line in reader.render_report(report):
         print(line)
     problems = []

@@ -25,8 +25,11 @@ def u16(value: int) -> bytes:
     return struct.pack(">H", value)
 
 
+_U32 = struct.Struct(">I").pack
+
+
 def u32(value: int) -> bytes:
-    return struct.pack(">I", value)
+    return _U32(value)
 
 
 def u64(value: int) -> bytes:
@@ -35,7 +38,7 @@ def u64(value: int) -> bytes:
 
 def blob(data: bytes) -> bytes:
     """Length-prefixed byte string: u32 length followed by the raw bytes."""
-    return u32(len(data)) + data
+    return _U32(len(data)) + data
 
 
 def pack(*fields: bytes) -> bytes:
@@ -44,7 +47,7 @@ def pack(*fields: bytes) -> bytes:
     The prefix makes the encoding unambiguous: no arrangement of field
     contents can collide with a different field split.
     """
-    return b"".join(blob(f) for f in fields)
+    return b"".join([_U32(len(f)) + f for f in fields])
 
 
 def text(value: str) -> bytes:

@@ -13,12 +13,17 @@ the proof.  The nonce is chosen and retained by the encryptor; it is never
 stored on the ledger.  Internally this is a hybrid scheme (static-ephemeral
 X25519 agreement feeding ChaCha20-Poly1305) but nothing outside this module
 depends on that.
+
+Each ``PrivateKey`` derives and loads its Ed25519 and X25519 key objects
+once, on first use, and keeps them for its own lifetime; they are not
+dataclass fields, so equality, hashing and ``repr`` see only the secret.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -114,16 +119,20 @@ class PrivateKey:
             raise CryptoError("private key must be 32 bytes")
         return cls(raw)
 
+    # cached_property stores into the instance __dict__ directly, which a
+    # frozen dataclass allows; the cache dies with the key object.
+    @cached_property
     def _signing_key(self) -> Ed25519PrivateKey:
         return Ed25519PrivateKey.from_private_bytes(_derive(b"signing-half", self.master))
 
+    @cached_property
     def _encryption_key(self) -> X25519PrivateKey:
         return X25519PrivateKey.from_private_bytes(_derive(b"encryption-half", self.master))
 
     def public_key(self) -> PublicKey:
         return PublicKey(
-            self._signing_key().public_key().public_bytes_raw(),
-            self._encryption_key().public_key().public_bytes_raw(),
+            self._signing_key.public_key().public_bytes_raw(),
+            self._encryption_key.public_key().public_bytes_raw(),
         )
 
 
@@ -151,7 +160,7 @@ def generate_keypair(seed: bytes, role: str = ROLE_TRUE_IDENTITY) -> KeyPair:
 
 
 def sign(private: PrivateKey, message: bytes) -> bytes:
-    return private._signing_key().sign(message)
+    return private._signing_key.sign(message)
 
 
 def verify(public: PublicKey, message: bytes, signature: bytes) -> bool:
@@ -204,7 +213,7 @@ def decrypt(private: PrivateKey, ciphertext: bytes) -> bytes:
         raise WrongKey("ciphertext too short")
     eph_public, sealed = ciphertext[:32], ciphertext[32:]
     try:
-        shared = private._encryption_key().exchange(
+        shared = private._encryption_key.exchange(
             X25519PublicKey.from_public_bytes(eph_public)
         )
         key, nonce12 = _symmetric_parts(shared, eph_public)

@@ -731,7 +731,7 @@ def observer_link_scan(world: SimWorld) -> None:
     address out of them, or correlate repeats.  Both must come up empty."""
     led = world.ledger
     account_kind = accounts.CreditAccountContract.KIND
-    addresses = [a.digest for a in led.contracts_by_kind(account_kind)]
+    addresses = {a.digest for a in led.contracts_by_kind(account_kind)}
     ciphertexts: list[bytes] = []
     for record in led.read_state(world.registry).records.values():
         if record.first_credit_account is not None:
@@ -740,10 +740,12 @@ def observer_link_scan(world: SimWorld) -> None:
         state = led.read_state(address)
         if state.next_account is not None:
             ciphertexts.append(state.next_account)
-    for ciphertext in ciphertexts:
-        for digest in addresses:
-            if digest in ciphertext:
-                raise AuditFailure("pointer ciphertext leaks an address in the clear")
+    # Every address is DIGEST_SIZE bytes, so an address occurs in a
+    # ciphertext exactly when it equals one of its windows of that size.
+    size = crypto.DIGEST_SIZE
+    windows = (c[i:i + size] for c in ciphertexts for i in range(len(c) - size + 1))
+    if not addresses.isdisjoint(windows):
+        raise AuditFailure("pointer ciphertext leaks an address in the clear")
     if len(set(ciphertexts)) != len(ciphertexts):
         raise AuditFailure("two pointer ciphertexts repeat — linkable on sight")
 

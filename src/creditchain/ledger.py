@@ -29,6 +29,8 @@ every contract state byte for byte, which ``replay`` verifies.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Any, ClassVar, Optional, Protocol
 
@@ -275,6 +277,36 @@ class CallContext:
 # ---------------------------------------------------------------------------
 
 
+def _block_of(entry: LogEntry) -> int:
+    return entry.tx.block
+
+
+class _Blocks(Sequence):
+    """Read-only view of blocks 0..height as lists of log entries.
+
+    A block is built only when indexed, by bisecting the block-ordered log,
+    so the view costs nothing however many empty blocks the height spans.
+    It sees the first ``count`` log entries: later submissions do not show.
+    """
+
+    def __init__(self, log: list[LogEntry], count: int, height: int) -> None:
+        self._log, self._count, self._len = log, count, height + 1
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._block(i) for i in range(*index.indices(self._len))]
+        number = range(self._len)[index]  # normalises negatives, raises IndexError
+        return self._block(number)
+
+    def _block(self, number: int) -> list[LogEntry]:
+        lo = bisect_left(self._log, number, 0, self._count, key=_block_of)
+        hi = bisect_right(self._log, number, lo, self._count, key=_block_of)
+        return self._log[lo:hi]
+
+
 class Ledger:
     """Single-writer ledger: submit transactions, read state, export, replay."""
 
@@ -298,12 +330,9 @@ class Ledger:
         return self._height
 
     @property
-    def blocks(self) -> list[list[LogEntry]]:
+    def blocks(self) -> Sequence[list[LogEntry]]:
         """Every block up to and including the open one, rebuilt from the log."""
-        blocks: list[list[LogEntry]] = [[] for _ in range(self._height + 1)]
-        for entry in self._log:
-            blocks[entry.tx.block].append(entry)
-        return blocks
+        return _Blocks(self._log, len(self._log), self._height)
 
     @property
     def log(self) -> list[LogEntry]:

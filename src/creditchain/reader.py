@@ -63,6 +63,10 @@ class IncompleteDisclosure(Exception):
         self.report = report
 
 
+class MalformedInput(ValueError):
+    """Bundle or trust JSON that does not decode into keys and addresses."""
+
+
 # ---------------------------------------------------------------------------
 # Bundle structures
 # ---------------------------------------------------------------------------
@@ -391,8 +395,23 @@ def bundle_to_json(bundle: DisclosureBundle) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+# What decoding an untrusted document can raise: bad JSON, hex or variant
+# (ValueError), a missing key (KeyError), a value of the wrong JSON type
+# (TypeError, AttributeError, IndexError), a key of the wrong length
+# (CryptoError) and nesting too deep for the JSON parser (RecursionError).
+_DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, IndexError,
+                  crypto.CryptoError, RecursionError)
+
+
 def bundle_from_json(text: str) -> DisclosureBundle:
-    doc = json.loads(text)
+    """Decode a bundle file; raises MalformedInput if it does not decode."""
+    try:
+        return _bundle_from_doc(json.loads(text))
+    except _DECODE_ERRORS as exc:
+        raise MalformedInput(f"bundle does not decode: {type(exc).__name__} {exc}") from exc
+
+
+def _bundle_from_doc(doc) -> DisclosureBundle:
     entries: list[DisclosureEntry] = []
     for raw in doc["entries"]:
         if raw["variant"] == "keys":
@@ -436,4 +455,8 @@ def trust_to_json(trust_set: set[crypto.PublicKey]) -> str:
 
 
 def trust_from_json(text: str) -> set[crypto.PublicKey]:
-    return {crypto.PublicKey.from_bytes(bytes.fromhex(h)) for h in json.loads(text)}
+    """Decode a trust file; raises MalformedInput if it does not decode."""
+    try:
+        return {crypto.PublicKey.from_bytes(bytes.fromhex(h)) for h in json.loads(text)}
+    except _DECODE_ERRORS as exc:
+        raise MalformedInput(f"trust list does not decode: {type(exc).__name__} {exc}") from exc

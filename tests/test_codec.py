@@ -14,6 +14,13 @@ def test_pack_unpack_round_trip(fields):
     assert codec.unpack(codec.pack(*fields), len(fields)) == fields
 
 
+@given(field_lists)
+def test_pack_matches_per_field_reference(fields):
+    """The single-pass join gives the bytes of prefixing each field in turn."""
+    expected = b"".join(struct.pack(">I", len(f)) + f for f in fields)
+    assert codec.pack(*fields) == expected
+
+
 @given(field_lists, field_lists)
 def test_pack_is_injective(a, b):
     """Distinct field tuples never encode to the same bytes — the property

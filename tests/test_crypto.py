@@ -4,6 +4,7 @@ The digest oracle is hashlib itself; everything else is checked through
 round trips, cross-key negatives, and bit-flip sweeps.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -160,3 +161,83 @@ def test_truncated_ciphertext_rejected():
     pair = crypto.generate_keypair(b"short enc")
     with pytest.raises(crypto.WrongKey):
         crypto.decrypt(pair.private, b"\x00" * (crypto.CIPHERTEXT_OVERHEAD - 1))
+
+
+# -- loaded-key cache --------------------------------------------------------
+
+
+def _count_signing_key_loads(monkeypatch):
+    loads = []
+    real = crypto.Ed25519PrivateKey
+
+    class Counting:
+        @staticmethod
+        def from_private_bytes(raw):
+            loads.append(raw)
+            return real.from_private_bytes(raw)
+
+    monkeypatch.setattr(crypto, "Ed25519PrivateKey", Counting)
+    return loads
+
+
+def test_signing_twice_loads_the_key_once(monkeypatch):
+    loads = _count_signing_key_loads(monkeypatch)
+    key = crypto.PrivateKey(bytes(range(32)))
+    first = crypto.sign(key, b"one")
+    crypto.sign(key, b"two")
+    assert len(loads) == 1
+    assert crypto.verify(key.public_key(), b"one", first)
+    assert len(loads) == 1
+
+
+def test_generated_key_signs_without_loading_again(monkeypatch):
+    pair = crypto.generate_keypair(b"kept keys")
+    loads = _count_signing_key_loads(monkeypatch)
+    crypto.sign(pair.private, b"first call")
+    assert loads == []
+
+
+def test_warm_and_fresh_keys_agree():
+    pair = crypto.generate_keypair(b"warm")
+    ciphertext = crypto.encrypt(pair.public, b"n", b"payload")
+    warm = pair.private
+    crypto.sign(warm, b"warm-up")
+    crypto.decrypt(warm, ciphertext)
+    fresh = crypto.PrivateKey(warm.master)
+    assert crypto.sign(fresh, b"message") == crypto.sign(warm, b"message")
+    assert crypto.decrypt(fresh, ciphertext) == crypto.decrypt(warm, ciphertext) == b"payload"
+    assert fresh.public_key() == warm.public_key() == pair.public
+
+
+def test_warm_key_still_refuses_tampered_ciphertext():
+    pair = crypto.generate_keypair(b"warm tamper")
+    ciphertext = crypto.encrypt(pair.public, b"n", b"payload")
+    assert crypto.decrypt(pair.private, ciphertext) == b"payload"
+    for index in (0, 40, len(ciphertext) - 1):
+        bad = bytearray(ciphertext)
+        bad[index] ^= 0x01
+        with pytest.raises(crypto.WrongKey):
+            crypto.decrypt(pair.private, bytes(bad))
+
+
+def test_cache_is_invisible_to_eq_hash_repr():
+    warm = crypto.generate_keypair(b"invisible").private
+    cold = crypto.PrivateKey(warm.master)
+    assert {"_signing_key", "_encryption_key"} <= vars(warm).keys()
+    assert vars(cold) == {"master": warm.master}
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    assert [f.name for f in dataclasses.fields(warm)] == ["master"]
+    replaced = dataclasses.replace(warm)
+    assert replaced == warm
+    assert vars(replaced) == {"master": warm.master}
+
+
+def test_key_rebuilt_from_bytes_has_its_own_cache():
+    warm = crypto.generate_keypair(b"rebuilt").private
+    rebuilt = crypto.PrivateKey.from_bytes(warm.to_bytes())
+    assert vars(rebuilt) == {"master": warm.master}
+    assert crypto.sign(rebuilt, b"m") == crypto.sign(warm, b"m")
+    assert rebuilt._signing_key is not warm._signing_key
+    assert rebuilt._encryption_key is not warm._encryption_key

@@ -178,6 +178,33 @@ def test_observer_link_scan_catches_plaintext_pointer():
         harness.observer_link_scan(world)
 
 
+def _plant_pointer(world, name, ciphertext):
+    from creditchain import identity
+
+    careless = world.add_actor(name)
+    identity.register(world.ledger, world.registry, careless,
+                      identity.fingerprint_from_text(f"US:{name}"))
+    identity.set_first_credit_account(world.ledger, world.registry, careless, ciphertext)
+
+
+@pytest.mark.parametrize("prefix,suffix", [(0, 48), (7, 41), (48, 0)],
+                         ids=["offset-0", "odd-offset", "at-end"])
+def test_observer_link_scan_finds_address_at_any_offset(prefix, suffix):
+    world = run_scenario(MINI).world
+    address = world.account("acct").address.digest
+    _plant_pointer(world, "careless", b"\x01" * prefix + address + b"\x02" * suffix)
+    with pytest.raises(AuditFailure):
+        harness.observer_link_scan(world)
+
+
+def test_observer_link_scan_ignores_near_miss():
+    world = run_scenario(MINI).world
+    address = world.account("acct").address.digest
+    near = address[:-1] + bytes([address[-1] ^ 1])
+    _plant_pointer(world, "careless", b"\x01" * 7 + near + address[:31])
+    harness.observer_link_scan(world)
+
+
 def test_scenario_files_run_green():
     import pathlib
 

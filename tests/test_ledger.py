@@ -358,6 +358,32 @@ def test_blocks_are_rebuilt_from_the_log(led, alice):
     assert led.blocks[3][0] is led.log[1]
 
 
+def test_blocks_of_huge_height_are_built_on_demand():
+    led = Ledger.replay(_patch_u64(busy_ledger().export(), HEIGHT_OFFSET, 2**40))
+    started = time.process_time()
+    assert len(led.blocks) == 2**40 + 1
+    assert led.blocks[-1] == []
+    assert time.process_time() - started < 0.5
+
+
+def test_block_view_matches_blocks_rebuilt_by_a_full_pass(alice):
+    led = busy_ledger()
+    expected = [[] for _ in range(led.height + 1)]
+    for entry in led.log:
+        expected[entry.tx.block].append(entry)
+    blocks = led.blocks
+    assert list(blocks) == expected
+    assert blocks[2:7:2] == expected[2:7:2]
+    assert blocks[-3:] == expected[-3:]
+    assert blocks[-len(expected)] == expected[0]
+    for index in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            blocks[index]
+    deploy_probe(led, alice)  # lands in the open block after the view was taken
+    assert blocks[-1] == []
+    assert len(led.blocks[-2]) == 1
+
+
 @st.composite
 def mutated_exports(draw):
     data = busy_ledger_export()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from creditchain import cli
+from creditchain import cli, crypto
 from creditchain.harness import run_scenario
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
@@ -127,6 +127,63 @@ def test_report_bad_identity_hex(capsys, disclosure_files):
     code, _, err = run_cli(capsys, "report", "zz-not-hex",
                            "--ledger", ledger, "--bundle", bundle, "--trust", trust)
     assert code == 2
+
+
+def test_report_on_truncated_export(capsys, disclosure_files):
+    ledger, bundle, trust, identity_hex = disclosure_files
+    ledger.write_bytes(ledger.read_bytes()[:200])
+    code, out, err = run_cli(capsys, "report", identity_hex,
+                             "--ledger", ledger, "--bundle", bundle, "--trust", trust)
+    assert code == 1
+    assert err.startswith("REPLAY FAILED: ")
+    assert "Traceback" not in out + err
+
+
+def _edit(change):
+    """A bundle edit: decode the JSON, apply ``change`` to it, encode again."""
+    def apply(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return apply
+
+
+UNDECODABLE = {
+    "bundle-bad-json": ("bundle", lambda text: "{not json"),
+    "bundle-no-entries": ("bundle", _edit(lambda doc: doc.pop("entries"))),
+    "bundle-bad-hex": ("bundle", _edit(lambda doc: doc["entries"][0].update(address="zz" * 32))),
+    "bundle-short-key": ("bundle", _edit(lambda doc: doc.update(identity=doc["identity"][:-2]))),
+    "bundle-unknown-variant": ("bundle",
+                               _edit(lambda doc: doc["entries"][0].update(variant="telepathy"))),
+    "trust-bad-json": ("trust", lambda text: "not json at all"),
+    "trust-bad-hex": ("trust", lambda text: '["zz"]'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_report_on_undecodable_input(capsys, disclosure_files, case):
+    ledger, bundle, trust, identity_hex = disclosure_files
+    target, corrupt = UNDECODABLE[case]
+    path = bundle if target == "bundle" else trust
+    path.write_text(corrupt(path.read_text()))
+    code, out, err = run_cli(capsys, "report", identity_hex,
+                             "--ledger", ledger, "--bundle", bundle, "--trust", trust)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("unusable input: ")
+
+
+def test_report_on_unregistered_identity(capsys, disclosure_files):
+    ledger, bundle, trust, _ = disclosure_files
+    stranger = crypto.generate_keypair(b"never registered").public.to_bytes().hex()
+    doc = json.loads(bundle.read_text())
+    doc["identity"] = stranger
+    bundle.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "report", stranger,
+                           "--ledger", ledger, "--bundle", bundle, "--trust", trust)
+    assert code == 2
+    assert "not registered" in out
 
 
 def test_disclose_unknown_customer(capsys, tmp_path):
