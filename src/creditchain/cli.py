@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import attacks, harness, identity, reader
+from . import attacks, crypto, harness, identity, reader
 from .ledger import Ledger, ReplayMismatch
 
 
@@ -152,9 +152,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"unusable input: {exc}", file=sys.stderr)
         return 2
     try:
-        from . import crypto
         identity_key = crypto.PublicKey.from_bytes(bytes.fromhex(args.identity))
-    except ValueError:
+    except (ValueError, crypto.CryptoError):
         print("identity must be the customer's public key in hex", file=sys.stderr)
         return 2
     if identity_key != bundle.identity:

@@ -23,13 +23,29 @@ IncompleteDisclosure (carrying the partial report) when the chain keeps
 going past the last disclosed account.  A customer can withhold *data* for
 out-of-window accounts while still proving chain completeness; the window
 check then only passes if every in-window account has its data open.
+
+A reader meets the same chain facts again and again: commitments and links
+are write-once, and a data field changes only when it is rewritten.  Three
+pure checks are therefore memoized, each in its own LRU of ``MEMO_ENTRIES``
+entries keyed on its exact input bytes: the commitment check (institution
+key, commitment message, signature), the ``KeyDisclosure`` opens (the key's
+32-byte master secret, ciphertext) and the ``PlaintextDisclosure``
+re-encryptions (public key, nonce, plaintext).  A rewritten data field, a
+different key or a tampered bundle changes the key and takes the full
+check; an exception is never stored, and inputs longer than
+``MEMO_MAX_INPUT`` bytes are never stored, which keeps the memos under
+``MEMO_CEILING_BYTES``.  The memos live in the process and are never
+persisted.  Ledger submit and replay and the harness audits call ``crypto``
+directly and never consult them.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from . import codec, crypto
 from .credit_account import (
@@ -141,6 +157,79 @@ class VerifiedReport:
 
 
 # ---------------------------------------------------------------------------
+# Memoized checks
+# ---------------------------------------------------------------------------
+
+# Entries per memo, and the longest input, in bytes, a memo stores: a data
+# field has no size limit on-chain, so a longer input is checked every time
+# and never stored.  An entry then takes at most about 1.3 KiB (tracemalloc,
+# CPython 3.11), so the three memos together stay below MEMO_CEILING_BYTES,
+# 18,874,368 bytes (18 MiB).  The common entries are smaller: 561 bytes for a
+# commitment check, 383 for a link open and 488 for a link re-encryption.
+MEMO_ENTRIES = 4096
+MEMO_MAX_INPUT = 512
+MEMO_CEILING_BYTES = 3 * MEMO_ENTRIES * 1536
+
+
+class _Memo:
+    """Bounded LRU map from the exact input bytes of one pure crypto call to
+    its result.
+
+    The key must hold every byte the call reads, so equal keys give equal
+    results.  Keys and results are ``bytes`` and ``bool`` only: the memo
+    keeps no key object alive.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[tuple[bytes, ...], Any] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def call(self, key: tuple[bytes, ...], check: Callable[..., Any], *args: Any) -> Any:
+        """``check(*args)``, answered from the memo if ``key`` is stored.
+
+        Only a returned result is stored; an exception passes through.
+        """
+        with self._lock:
+            result = self._entries.get(key)
+            if result is not None:
+                self._entries.move_to_end(key)
+                return result
+        result = check(*args)
+        if sum(map(len, key)) <= MEMO_MAX_INPUT:
+            with self._lock:
+                self._entries[key] = result
+                if len(self._entries) > MEMO_ENTRIES:
+                    self._entries.popitem(last=False)
+        return result
+
+
+_commitments = _Memo()  # crypto.verify(institution, message, commitment)
+_openings = _Memo()     # crypto.decrypt(key, ciphertext)
+_sealings = _Memo()     # crypto.encrypt(public, nonce, message)
+
+
+def _verify(public: crypto.PublicKey, message: bytes, signature: bytes) -> bool:
+    return _commitments.call((public.to_bytes(), message, signature),
+                             crypto.verify, public, message, signature)
+
+
+def _decrypt(private: crypto.PrivateKey, ciphertext: bytes) -> bytes:
+    return _openings.call((private.master, ciphertext), crypto.decrypt, private, ciphertext)
+
+
+def _encrypt(public: crypto.PublicKey, nonce: bytes, message: bytes) -> bytes:
+    return _sealings.call((public.to_bytes(), nonce, message),
+                          crypto.encrypt, public, nonce, message)
+
+
+# ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
 
@@ -181,7 +270,7 @@ def assemble_report(led: Ledger, registry: Address, bundle: DisclosureBundle,
         commitment_ok = False
         if state.commitment is not None:
             message = commitment_message(address, entry.institution_identity, bundle.identity)
-            if not crypto.verify(entry.institution_identity, message, state.commitment):
+            if not _verify(entry.institution_identity, message, state.commitment):
                 raise CommitmentInvalid(address)
             commitment_ok = True
 
@@ -220,7 +309,7 @@ def _verify_link(entry: DisclosureEntry, index: int, ciphertext: bytes,
     """Prove that the pending encrypted pointer designates entry.address."""
     if isinstance(entry, KeyDisclosure):
         try:
-            revealed = crypto.decrypt(entry.pointer_key, ciphertext)
+            revealed = _decrypt(entry.pointer_key, ciphertext)
         except crypto.WrongKey as exc:
             raise ChainMismatch(f"entry {index}: pointer key does not open the link") from exc
         if revealed != entry.address.digest:
@@ -229,7 +318,7 @@ def _verify_link(entry: DisclosureEntry, index: int, ciphertext: bytes,
     if nonce is None:
         raise ChainMismatch(f"entry {index}: no nonce available to check the link")
     try:
-        expected = crypto.encrypt(entry.pointer_public_key, nonce, entry.address.digest)
+        expected = _encrypt(entry.pointer_public_key, nonce, entry.address.digest)
     except Exception as exc:  # malformed disclosed key material
         raise ChainMismatch(f"entry {index}: link re-encryption failed") from exc
     if expected != ciphertext:
@@ -252,7 +341,7 @@ def _recover_payload(entry: DisclosureEntry, index: int,
         if entry.data_key is None:
             return False, None
         try:
-            return True, crypto.decrypt(entry.data_key, state.data)
+            return True, _decrypt(entry.data_key, state.data)
         except crypto.WrongKey as exc:
             raise ChainMismatch(f"entry {index}: data key does not open the data field") from exc
     if entry.data_plaintext is None:
@@ -260,7 +349,7 @@ def _recover_payload(entry: DisclosureEntry, index: int,
     if entry.data_nonce is None or entry.data_public_key is None:
         raise ChainMismatch(f"entry {index}: data disclosure missing nonce or key")
     try:
-        expected = crypto.encrypt(entry.data_public_key, entry.data_nonce, entry.data_plaintext)
+        expected = _encrypt(entry.data_public_key, entry.data_nonce, entry.data_plaintext)
     except Exception as exc:
         raise ChainMismatch(f"entry {index}: data re-encryption failed") from exc
     if expected != state.data:
@@ -412,6 +501,16 @@ def bundle_from_json(text: str) -> DisclosureBundle:
 
 
 def _bundle_from_doc(doc) -> DisclosureBundle:
+    if not isinstance(doc, dict):
+        raise ValueError("a bundle must be a JSON object")
+    if not isinstance(doc["entries"], list) or not all(isinstance(raw, dict)
+                                                        for raw in doc["entries"]):
+        raise ValueError("entries must be a list of objects")
+    window = doc.get("window")
+    # type() and not isinstance(): a JSON true is a bool, which is an int
+    if window is not None and not (isinstance(window, list) and len(window) == 2
+                                   and all(type(bound) is int for bound in window)):
+        raise ValueError("window must be null or two integers")
     entries: list[DisclosureEntry] = []
     for raw in doc["entries"]:
         if raw["variant"] == "keys":
@@ -441,12 +540,11 @@ def _bundle_from_doc(doc) -> DisclosureBundle:
             ))
         else:
             raise ValueError(f"unknown disclosure variant {raw['variant']!r}")
-    window = doc.get("window")
     return DisclosureBundle(
         identity=crypto.PublicKey.from_bytes(bytes.fromhex(doc["identity"])),
         entries=tuple(entries),
         head_nonce=_bytes_or_none(doc.get("head_nonce")),
-        window=None if window is None else (int(window[0]), int(window[1])),
+        window=None if window is None else tuple(window),
     )
 
 
@@ -457,6 +555,9 @@ def trust_to_json(trust_set: set[crypto.PublicKey]) -> str:
 def trust_from_json(text: str) -> set[crypto.PublicKey]:
     """Decode a trust file; raises MalformedInput if it does not decode."""
     try:
-        return {crypto.PublicKey.from_bytes(bytes.fromhex(h)) for h in json.loads(text)}
+        doc = json.loads(text)
+        if not isinstance(doc, list) or not all(isinstance(h, str) for h in doc):
+            raise ValueError("a trust file must be a JSON list of hex strings")
+        return {crypto.PublicKey.from_bytes(bytes.fromhex(h)) for h in doc}
     except _DECODE_ERRORS as exc:
         raise MalformedInput(f"trust list does not decode: {type(exc).__name__} {exc}") from exc

@@ -2,12 +2,14 @@
 variants, windows, and every way a bundle can lie."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
 import helpers
 from creditchain import crypto, reader
 from creditchain.harness import run_scenario
+from creditchain.ledger import Ledger
 
 
 def assemble(world, bundle, **kwargs):
@@ -317,3 +319,162 @@ def test_trust_set_json_round_trip(chain5_world):
     world = chain5_world
     trust = world.trust_set()
     assert reader.trust_from_json(reader.trust_to_json(trust)) == trust
+
+
+# -- memoized checks ---------------------------------------------------------------
+
+
+MEMOS = (reader._commitments, reader._openings, reader._sealings)
+
+
+@pytest.fixture
+def cold_memos():
+    for memo in MEMOS:
+        memo.clear()
+    yield
+    for memo in MEMOS:
+        memo.clear()
+
+
+def _count_crypto_calls(monkeypatch):
+    """Route crypto.verify/decrypt/encrypt through counters; returns the counts."""
+    counts = {"verify": 0, "decrypt": 0, "encrypt": 0}
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(crypto, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(crypto, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("variant", ["keys", "plaintext"])
+def test_second_report_of_a_bundle_runs_no_crypto(chain5_world, cold_memos,
+                                                  monkeypatch, variant):
+    world = chain5_world
+    bundle = world.build_bundle("cust", variant=variant)
+    counts = _count_crypto_calls(monkeypatch)
+    first = assemble(world, bundle)
+    assert counts["verify"] == 5
+    assert counts["decrypt" if variant == "keys" else "encrypt"] == 10  # links and data
+    for name in counts:
+        counts[name] = 0
+    assert assemble(world, bundle) == first
+    assert counts == {"verify": 0, "decrypt": 0, "encrypt": 0}
+
+
+def _with(bundle, index, **changes):
+    """The bundle with entry ``index`` changed."""
+    entries = list(bundle.entries)
+    entries[index] = dataclasses.replace(entries[index], **changes)
+    return dataclasses.replace(bundle, entries=tuple(entries))
+
+
+# Each tamper but the first reuses bytes the honest bundle also holds, so a
+# memo keyed on less than the full input would answer it from the honest run.
+TAMPERS = {
+    "data-key": ("keys", lambda b: _with(
+        b, 0, data_key=crypto.generate_keypair(b"wrong data key").private),
+        reader.ChainMismatch),
+    "pointer-key": ("keys", lambda b: _with(b, 2, pointer_key=b.entries[3].pointer_key),
+                    reader.ChainMismatch),
+    "institution-keys": ("keys", lambda b: _with(
+        b, 0, institution_identity=b.entries[1].institution_identity),
+        reader.CommitmentInvalid),
+    "institution-plaintext": ("plaintext", lambda b: _with(
+        b, 0, institution_identity=b.entries[1].institution_identity),
+        reader.CommitmentInvalid),
+    "link-nonce": ("plaintext", lambda b: _with(b, 0, next_nonce=b.entries[1].next_nonce),
+                   reader.ChainMismatch),
+    "data-nonce": ("plaintext", lambda b: _with(b, 0, data_nonce=b.entries[1].data_nonce),
+                   reader.ChainMismatch),
+}
+
+
+def _failure(world, bundle):
+    with pytest.raises((reader.ChainMismatch, reader.CommitmentInvalid)) as err:
+        assemble(world, bundle)
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERS))
+def test_tampered_bundle_fails_alike_on_cold_and_warm_memo(chain5_world, cold_memos, case):
+    variant, tamper, expected = TAMPERS[case]
+    world = chain5_world
+    honest = world.build_bundle("cust", variant=variant)
+    forged = tamper(honest)
+    cold = _failure(world, forged)
+    assert cold[0] is expected
+    assemble(world, honest)  # every honest check is now memoized
+    assert _failure(world, forged) == cold
+    assert _failure(world, forged) == cold  # and the failure was not stored
+
+
+@pytest.mark.parametrize("variant", ["keys", "plaintext"])
+def test_update_between_reports_shows_new_plaintext(cold_memos, variant):
+    world = helpers.build_chain_world(2)
+    assert assemble(world, world.build_bundle("cust", variant=variant)
+                    ).entries[1].data == b"entry 1: balance 200"
+    run_scenario('UPDATE acct1 inline "entry 1: balance 999"\n', world=world)
+    report = assemble(world, world.build_bundle("cust", variant=variant))
+    assert report.entries[1].data == b"entry 1: balance 999"
+    assert report.entries[0].data == b"entry 0: balance 100"
+
+
+def test_replay_after_reports_verifies_every_transaction(chain5_world, cold_memos,
+                                                         monkeypatch):
+    world = chain5_world
+    for variant in ("keys", "plaintext"):
+        for _ in range(3):
+            assemble(world, world.build_bundle("cust", variant=variant))
+    counts = _count_crypto_calls(monkeypatch)
+    Ledger.replay(world.ledger.export())
+    assert counts["verify"] == len(world.ledger.log)
+
+
+def test_memo_evicts_least_recently_used_and_skips_long_inputs(cold_memos, monkeypatch):
+    monkeypatch.setattr(reader, "MEMO_ENTRIES", 2)
+    memo = reader._openings
+    calls = []
+
+    def check(value):
+        calls.append(value)
+        return value
+
+    for key in (b"a", b"b", b"a", b"c"):  # "b" is least recently used when "c" arrives
+        memo.call((key,), check, key)
+    assert calls == [b"a", b"b", b"c"]
+    memo.call((b"a",), check, b"a")
+    memo.call((b"b",), check, b"b")
+    assert calls == [b"a", b"b", b"c", b"b"]
+    long_input = bytes(reader.MEMO_MAX_INPUT + 1)
+    memo.call((long_input,), check, long_input)
+    memo.call((long_input,), check, long_input)
+    assert calls[-2:] == [long_input, long_input]
+
+
+def test_memos_stay_under_their_ceiling(cold_memos):
+    """Fill all three memos to their bound with the largest inputs they
+    store, shaped like commitment checks, ciphertext opens and
+    re-encryptions, and measure what they hold."""
+    longest = reader.MEMO_MAX_INPUT
+    counter = iter(range(1 << 62))
+
+    def unique(size):  # distinct bytes of the given size
+        return next(counter).to_bytes(8, "big") + bytes(size - 8)
+
+    shapes = (
+        (reader._commitments, (64, longest - 128, 64), None),
+        (reader._openings, (32, longest - 32), longest - 32 - crypto.CIPHERTEXT_OVERHEAD),
+        (reader._sealings, (64, 16, longest - 80), longest - 80 + crypto.CIPHERTEXT_OVERHEAD),
+    )
+    tracemalloc.start()
+    try:
+        for memo, sizes, result_size in shapes:
+            for _ in range(reader.MEMO_ENTRIES + 10):
+                result = True if result_size is None else unique(result_size)
+                memo.call(tuple(unique(size) for size in sizes), lambda: result)
+            assert len(memo) == reader.MEMO_ENTRIES
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < reader.MEMO_CEILING_BYTES, f"memos hold {held} bytes"

@@ -1,12 +1,16 @@
 """End-to-end CLI runs, in-process via cli.main()."""
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from creditchain import cli, crypto
+from creditchain import cli, crypto, reader
 from creditchain.harness import run_scenario
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
@@ -129,6 +133,15 @@ def test_report_bad_identity_hex(capsys, disclosure_files):
     assert code == 2
 
 
+def test_report_identity_hex_of_wrong_length(capsys, disclosure_files):
+    ledger, bundle, trust, _ = disclosure_files
+    code, out, err = run_cli(capsys, "report", "abcd",
+                             "--ledger", ledger, "--bundle", bundle, "--trust", trust)
+    assert code == 2
+    assert out == ""
+    assert err == "identity must be the customer's public key in hex\n"
+
+
 def test_report_on_truncated_export(capsys, disclosure_files):
     ledger, bundle, trust, identity_hex = disclosure_files
     ledger.write_bytes(ledger.read_bytes()[:200])
@@ -157,6 +170,10 @@ UNDECODABLE = {
                                _edit(lambda doc: doc["entries"][0].update(variant="telepathy"))),
     "trust-bad-json": ("trust", lambda text: "not json at all"),
     "trust-bad-hex": ("trust", lambda text: '["zz"]'),
+    # shapes that once decoded silently: an object read as its list of keys,
+    # and a window cut to its first two bounds
+    "trust-object": ("trust", lambda text: json.dumps(dict.fromkeys(json.loads(text), True))),
+    "bundle-window-of-three": ("bundle", _edit(lambda doc: doc.update(window=[0, 1000, 7]))),
 }
 
 
@@ -172,6 +189,111 @@ def test_report_on_undecodable_input(capsys, disclosure_files, case):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("unusable input: ")
+
+
+# -- generated and mutated bundle and trust documents ---------------------------
+
+
+@pytest.fixture(scope="module")
+def disclosed(tmp_path_factory):
+    """alice's lifecycle disclosure in both variants (windowed, so the
+    window field is a list worth mutating), written once per module."""
+    root = tmp_path_factory.mktemp("disclosed")
+    texts = {}
+    for variant in ("keys", "plaintext"):
+        paths = [root / f"{variant}.{suffix}" for suffix in ("ledger", "bundle", "trust")]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["disclose", str(LIFECYCLE), "alice", "--variant", variant,
+                             "--window", "0", "500", "--ledger-out", str(paths[0]),
+                             "--bundle-out", str(paths[1]), "--trust-out", str(paths[2])])
+        assert code == 0
+        texts[variant] = paths[1].read_text()
+    identity_hex = out.getvalue().splitlines()[0].split(": ")[1]
+    return root, texts, paths[2].read_text(), identity_hex
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8) | st.sampled_from(["", "00" * 32, "00" * 64, "zz"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` with one value replaced, dropped or, if it is a hex string,
+    given one changed digit; or a document generated from nothing."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=20) | JSON_VALUES.map(json.dumps))
+    doc = json.loads(text)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return json.dumps(draw(JSON_VALUES))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    action = draw(st.sampled_from(["replace", "drop", "digit"]))
+    if action == "drop":
+        del parent[path[-1]]
+    elif action == "digit" and isinstance(value, str) and value:
+        i = draw(st.integers(0, len(value) - 1))
+        parent[path[-1]] = value[:i] + draw(st.sampled_from("0f")) + value[i + 1:]
+    else:
+        parent[path[-1]] = draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_report_on_generated_and_mutated_documents(disclosed, data):
+    """Each document decodes to what it says or raises MalformedInput, and
+    ``report`` on it exits 0, 1 or 2 without a traceback."""
+    root, bundles, trust_text, identity_hex = disclosed
+    variant = data.draw(st.sampled_from(sorted(bundles)))
+    bundle_text, trust = bundles[variant], trust_text
+    if data.draw(st.booleans()):
+        bundle_text = data.draw(mutated(bundle_text))
+    else:
+        trust = data.draw(mutated(trust_text))
+    try:
+        bundle = reader.bundle_from_json(bundle_text)
+    except reader.MalformedInput:
+        pass
+    else:  # what decodes is what the document says, not a part of it
+        doc = json.loads(bundle_text)
+        assert len(bundle.entries) == len(doc["entries"])
+        assert bundle.window == (None if doc.get("window") is None else tuple(doc["window"]))
+    try:
+        keys = reader.trust_from_json(trust)
+    except reader.MalformedInput:
+        pass
+    else:
+        doc = json.loads(trust)
+        assert isinstance(doc, list)
+        assert {k.to_bytes() for k in keys} == {bytes.fromhex(h) for h in doc}
+    bundle_path, trust_path = root / "mutated.bundle", root / "mutated.trust"
+    bundle_path.write_text(bundle_text)
+    trust_path.write_text(trust)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["report", identity_hex, "--ledger", str(root / f"{variant}.ledger"),
+                         "--bundle", str(bundle_path), "--trust", str(trust_path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 def test_report_on_unregistered_identity(capsys, disclosure_files):
