@@ -132,13 +132,6 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _find_registry(led: Ledger):
-    registries = led.contracts_by_kind(identity.IdentityContract.KIND)
-    if not registries:
-        raise SystemExit("this ledger holds no identity registry")
-    return registries[0]
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         led = Ledger.replay(args.ledger.read_bytes())
@@ -166,9 +159,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         bundle = reader.DisclosureBundle(identity=bundle.identity, entries=bundle.entries,
                                          head_nonce=bundle.head_nonce,
                                          window=(args.window_from, args.window_to))
-    registry = _find_registry(led)
+    registries = led.contracts_by_kind(identity.IdentityContract.KIND)
+    if not registries:
+        print("this ledger holds no identity registry, so no identity is registered",
+              file=sys.stderr)
+        return 2
     try:
-        report = reader.assemble_report(led, registry, bundle, trust)
+        report = reader.assemble_report(led, registries[0], bundle, trust)
     except reader.IncompleteDisclosure as exc:
         for line in reader.render_report(exc.report):
             print(line)

@@ -88,6 +88,13 @@ class ByteReader:
     def blob(self) -> bytes:
         return self.take(self.u32())
 
+    def text(self) -> str:
+        """A blob holding UTF-8 text; other bytes raise DecodeError."""
+        try:
+            return self.blob().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DecodeError(f"text field is not UTF-8: {exc.reason}") from exc
+
     def remaining(self) -> int:
         return len(self._data) - self._pos
 

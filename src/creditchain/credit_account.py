@@ -320,14 +320,14 @@ def encode_data_payload(mode: str, plaintext: bytes,
 
 def decode_data_payload(payload: bytes) -> DecodedPayload:
     reader = codec.ByteReader(payload)
-    mode = reader.blob().decode("utf-8")
+    mode = reader.text()
     if mode == DATA_MODE_INLINE:
         inline = reader.blob()
         reader.expect_end()
         return DecodedPayload(mode=mode, inline=inline)
     if mode == DATA_MODE_EXTERNAL:
         content_digest = reader.blob()
-        blob_id = reader.blob().decode("utf-8")
+        blob_id = reader.text()
         reader.expect_end()
         return DecodedPayload(mode=mode, content_digest=content_digest, blob_id=blob_id)
     raise codec.DecodeError(f"unknown payload mode {mode!r}")

@@ -522,7 +522,7 @@ class Ledger:
         """
         try:
             final_height, records, footer = _decode_export(data)
-        except ValueError as exc:  # codec.DecodeError, bad UTF-8, bad address
+        except ValueError as exc:  # codec.DecodeError or a bad address
             raise ReplayMismatch(f"malformed export: {exc}") from exc
 
         ledger = cls()
@@ -573,7 +573,7 @@ def _decode_export(data: bytes) -> tuple[int, list[tuple[bool, Transaction]], li
 
     Accepts only the canonical encoding ``Ledger.export`` writes: flags are
     0 or 1 and a deployment has an empty target.  Layout errors raise
-    ValueError (codec.DecodeError, UnicodeDecodeError, a bad address).
+    ValueError (codec.DecodeError, including bad UTF-8, or a bad address).
     """
     reader = codec.ByteReader(data)
     if reader.take(4) != EXPORT_MAGIC:
@@ -589,7 +589,7 @@ def _decode_export(data: bytes) -> tuple[int, list[tuple[bool, Transaction]], li
         is_deploy = reader.u8()
         caller = reader.blob()
         target_raw = reader.blob()
-        function = reader.blob().decode("utf-8")
+        function = reader.text()
         args = reader.blob()
         signature = reader.blob()
         if rejected > 1 or is_deploy > 1 or (is_deploy and target_raw):

@@ -37,6 +37,13 @@ check; an exception is never stored, and inputs longer than
 ``MEMO_CEILING_BYTES``.  The memos live in the process and are never
 persisted.  Ledger submit and replay and the harness audits call ``crypto``
 directly and never consult them.
+
+Bundles and trust sets travel as JSON files.  ``bundle_to_json`` and
+``trust_to_json`` write one line with sorted keys, which the standard
+library's C encoder produces (an ``indent`` would send every call through
+the pure-Python encoder).  ``bundle_from_json`` and ``trust_from_json``
+accept any JSON layout of the same document, including the indented files
+earlier versions wrote, and check its schema whatever the layout.
 """
 
 from __future__ import annotations
@@ -481,7 +488,7 @@ def bundle_to_json(bundle: DisclosureBundle) -> str:
         "window": None if bundle.window is None else list(bundle.window),
         "entries": entries,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, sort_keys=True)
 
 
 # What decoding an untrusted document can raise: bad JSON, hex or variant
@@ -549,7 +556,7 @@ def _bundle_from_doc(doc) -> DisclosureBundle:
 
 
 def trust_to_json(trust_set: set[crypto.PublicKey]) -> str:
-    return json.dumps(sorted(k.to_bytes().hex() for k in trust_set), indent=2)
+    return json.dumps(sorted(k.to_bytes().hex() for k in trust_set))
 
 
 def trust_from_json(text: str) -> set[crypto.PublicKey]:

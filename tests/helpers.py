@@ -251,3 +251,19 @@ def chain_scenario(n_accounts: int, customer: str = "cust",
 
 def build_chain_world(n_accounts: int, customer: str = "cust") -> SimWorld:
     return run_scenario(chain_scenario(n_accounts, customer)).world
+
+
+def write_raw_payload(world: SimWorld, account: str, payload: bytes) -> None:
+    """Have the account's institution store ``payload`` as its data, bytes
+    as given rather than encoded by ``encode_data_payload``.  The contract
+    checks only the mode tag beside the ciphertext, so the write is accepted
+    whatever the payload holds, and the world's bundles disclose it."""
+    handle = world.account(account)
+    nonce = world.data_nonce(account, handle.update_count)
+    ciphertext = crypto.encrypt(handle.institution_view.shared_data.public, nonce, payload)
+    receipt = world.ledger.call(handle.institution_view.institution, handle.address,
+                                "update_data",
+                                codec.pack(codec.text(accounts.DATA_MODE_INLINE), ciphertext))
+    assert receipt.accepted, receipt
+    handle.update_count += 1
+    handle.latest_payload = payload

@@ -83,6 +83,12 @@ def test_text_is_utf8():
     assert codec.text("déjà vu") == "déjà vu".encode("utf-8")
 
 
+def test_reader_text_round_trips_and_refuses_other_bytes():
+    assert codec.ByteReader(codec.pack(codec.text("déjà vu"))).text() == "déjà vu"
+    with pytest.raises(codec.DecodeError, match="not UTF-8"):
+        codec.ByteReader(codec.pack(b"\xff\xfe")).text()
+
+
 def test_opt_marks_presence():
     assert codec.opt(None) == b"\x00"
     assert codec.opt(b"") == b"\x01"

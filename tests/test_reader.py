@@ -2,12 +2,14 @@
 variants, windows, and every way a bundle can lie."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import pytest
 
 import helpers
-from creditchain import crypto, reader
+from creditchain import codec, crypto, reader
+from creditchain.credit_account import DATA_MODE_EXTERNAL
 from creditchain.harness import run_scenario
 from creditchain.ledger import Ledger
 
@@ -319,6 +321,58 @@ def test_trust_set_json_round_trip(chain5_world):
     world = chain5_world
     trust = world.trust_set()
     assert reader.trust_from_json(reader.trust_to_json(trust)) == trust
+
+
+def _indented(text):
+    """The same document in the layout earlier versions wrote: their writers
+    were ``json.dumps(doc, indent=2, sort_keys=True)`` for a bundle and
+    ``json.dumps(hex_list, indent=2)`` for a trust list of sorted keys."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("variant", ["keys", "plaintext"])
+def test_bundle_json_is_one_sorted_line_and_old_layout_still_loads(chain5_world, variant):
+    world = chain5_world
+    bundle = world.build_bundle("cust", variant=variant, window=(3, 9),
+                                withhold=frozenset({world.chain_names("cust")[1]}))
+    text = reader.bundle_to_json(bundle)
+    assert "\n" not in text
+    assert text == json.dumps(json.loads(text), sort_keys=True)
+    assert text == reader.bundle_to_json(bundle)
+    old = _indented(text)
+    assert old.count("\n") > len(bundle.entries)
+    assert json.loads(old) == json.loads(text)
+    assert reader.bundle_from_json(old) == bundle
+
+
+def test_trust_json_is_one_sorted_line_and_old_layout_still_loads(chain5_world):
+    trust = chain5_world.trust_set()
+    text = reader.trust_to_json(trust)
+    assert "\n" not in text
+    assert json.loads(text) == sorted(json.loads(text))
+    assert text == reader.trust_to_json(trust)
+    old = _indented(text)
+    assert old.count("\n") == len(trust) + 1
+    assert json.loads(old) == json.loads(text)
+    assert reader.trust_from_json(old) == trust
+
+
+# -- payloads that are not protocol payloads -----------------------------------------
+
+
+NON_UTF8_PAYLOADS = {
+    "mode-tag": codec.pack(b"\xff\xfe", b"x"),
+    "blob-id": codec.pack(codec.text(DATA_MODE_EXTERNAL), crypto.digest(b"doc"), b"\xff"),
+}
+
+
+@pytest.mark.parametrize("variant", ["keys", "plaintext"])
+@pytest.mark.parametrize("case", sorted(NON_UTF8_PAYLOADS))
+def test_non_utf8_payload_is_a_chain_mismatch(variant, case):
+    world = helpers.build_chain_world(2)
+    helpers.write_raw_payload(world, "acct1", NON_UTF8_PAYLOADS[case])
+    with pytest.raises(reader.ChainMismatch, match="not a protocol payload"):
+        assemble(world, world.build_bundle("cust", variant=variant))
 
 
 # -- memoized checks ---------------------------------------------------------------

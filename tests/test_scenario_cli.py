@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creditchain import cli, crypto, reader
+import helpers
+from creditchain import cli, codec, crypto, reader
 from creditchain.harness import run_scenario
+from creditchain.ledger import Ledger
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 LIFECYCLE = SCENARIO_DIR / "lifecycle.scn"
@@ -76,6 +78,17 @@ def test_disclose_then_report_verifies(capsys, disclosure_files):
     assert code == 0
     assert "VERDICT: verified" in out
     assert out.count("account=") == 3  # alice's chain
+
+
+def test_report_reads_files_in_the_old_indented_layout(capsys, disclosure_files):
+    ledger, bundle, trust, identity_hex = disclosure_files
+    argv = ("report", identity_hex, "--ledger", ledger, "--bundle", bundle, "--trust", trust)
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0
+    for path in (bundle, trust):
+        assert "\n" not in path.read_text()
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True))
+    assert run_cli(capsys, *argv) == expected
 
 
 def test_report_with_satisfiable_window(capsys, disclosure_files):
@@ -306,6 +319,32 @@ def test_report_on_unregistered_identity(capsys, disclosure_files):
                            "--ledger", ledger, "--bundle", bundle, "--trust", trust)
     assert code == 2
     assert "not registered" in out
+
+
+def test_report_on_ledger_without_registry(capsys, disclosure_files):
+    ledger, bundle, trust, identity_hex = disclosure_files
+    ledger.write_bytes(Ledger().export())
+    code, out, err = run_cli(capsys, "report", identity_hex,
+                             "--ledger", ledger, "--bundle", bundle, "--trust", trust)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "no identity registry" in err
+
+
+def test_report_on_non_utf8_payload(capsys, tmp_path):
+    world = helpers.build_chain_world(2)
+    helpers.write_raw_payload(world, "acct1", codec.pack(b"\xff\xfe", b"x"))
+    ledger, bundle, trust = tmp_path / "l", tmp_path / "b", tmp_path / "t"
+    ledger.write_bytes(world.ledger.export())
+    bundle.write_text(reader.bundle_to_json(world.build_bundle("cust")))
+    trust.write_text(reader.trust_to_json(world.trust_set()))
+    code, out, err = run_cli(capsys, "report", world.actor("cust").public.to_bytes().hex(),
+                             "--ledger", ledger, "--bundle", bundle, "--trust", trust)
+    assert code == 1
+    assert out.startswith("VERDICT: disclosure contradicts the chain")
+    assert "not a protocol payload" in out
+    assert err == ""
 
 
 def test_disclose_unknown_customer(capsys, tmp_path):
