@@ -22,6 +22,21 @@ from . import attacks, crypto, harness, identity, reader
 from .ledger import Ledger, ReplayMismatch
 
 
+MAX_ATTEMPTS = 10_000
+
+
+def _attempts(text: str) -> int:
+    """``--attempts``: an integer in 1..MAX_ATTEMPTS, since the fuzzing
+    suites loop that many times."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= value <= MAX_ATTEMPTS:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_ATTEMPTS}, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="creditchain",
@@ -38,8 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_attack = sub.add_parser("attack", help="run adversarial suites")
     p_attack.add_argument("suite", choices=sorted(attacks.SUITES) + ["all"])
-    p_attack.add_argument("--attempts", type=int, default=None, metavar="N",
-                          help="scale for the fuzzing suites (pointer-poison, sybil)")
+    p_attack.add_argument("--attempts", type=_attempts, default=None, metavar="N",
+                          help="scale for the fuzzing suites (pointer-poison, sybil), "
+                               f"1 to {MAX_ATTEMPTS}")
 
     p_disclose = sub.add_parser(
         "disclose", help="run a scenario, then write one customer's disclosure artifacts")

@@ -14,9 +14,18 @@ stored on the ledger.  Internally this is a hybrid scheme (static-ephemeral
 X25519 agreement feeding ChaCha20-Poly1305) but nothing outside this module
 depends on that.
 
-Each ``PrivateKey`` derives and loads its Ed25519 and X25519 key objects
-once, on first use, and keeps them for its own lifetime; they are not
-dataclass fields, so equality, hashing and ``repr`` see only the secret.
+Each ``PrivateKey`` derives and loads its Ed25519 and X25519 key objects,
+and the ``PublicKey`` they give, once, on first use, and keeps them for its
+own lifetime; they are not dataclass fields, so equality, hashing and
+``repr`` see only the secret.
+
+A ``KeyPair``'s two halves always match: constructing one (directly or
+through ``dataclasses.replace``) whose public half is not the one its
+private half derives raises ``MismatchedKeyPair``.  Ed25519 signing is
+deterministic and a signature always verifies under the signer's own public
+key, so a signature made with ``pair.private`` verifies under
+``pair.public`` by construction; the ledger relies on this to skip
+re-verifying the transactions it signs itself.
 """
 
 from __future__ import annotations
@@ -64,6 +73,10 @@ class EmptySeed(CryptoError):
 
 class WrongKey(CryptoError):
     """Decryption failed: wrong private key or damaged ciphertext."""
+
+
+class MismatchedKeyPair(CryptoError):
+    """A key pair's public half is not the one its private half derives."""
 
 
 def digest(data: bytes) -> bytes:
@@ -129,18 +142,28 @@ class PrivateKey:
     def _encryption_key(self) -> X25519PrivateKey:
         return X25519PrivateKey.from_private_bytes(_derive(b"encryption-half", self.master))
 
-    def public_key(self) -> PublicKey:
+    @cached_property
+    def _public_key(self) -> PublicKey:
         return PublicKey(
             self._signing_key.public_key().public_bytes_raw(),
             self._encryption_key.public_key().public_bytes_raw(),
         )
 
+    def public_key(self) -> PublicKey:
+        return self._public_key
+
 
 @dataclass(frozen=True)
 class KeyPair:
+    """A private key and the public key it derives; they cannot disagree."""
+
     public: PublicKey
     private: PrivateKey
     role: str = field(default=ROLE_TRUE_IDENTITY)
+
+    def __post_init__(self) -> None:
+        if self.private.public_key() != self.public:
+            raise MismatchedKeyPair("public half does not belong to the private half")
 
 
 def generate_keypair(seed: bytes, role: str = ROLE_TRUE_IDENTITY) -> KeyPair:

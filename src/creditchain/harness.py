@@ -60,6 +60,10 @@ class ExpectationFailed(ScenarioError):
     """An EXPECT did not match, or a rejection went unacknowledged."""
 
 
+class DisclosureRefused(ScenarioError):
+    """The reader refused the bundle a DISCLOSE built from the world."""
+
+
 class AuditFailure(Exception):
     """A post-scenario sweep found a broken invariant."""
 
@@ -167,12 +171,14 @@ class SimWorld:
     # -- chain bookkeeping ----------------------------------------------
 
     def chain_names(self, customer: str) -> list[str]:
-        names = []
+        # A customer may link an account that is already in their chain; the
+        # walk stops where it would come round again.
+        names: dict[str, None] = {}
         cursor = self.head_of.get(customer)
-        while cursor is not None:
-            names.append(cursor)
+        while cursor is not None and cursor not in names:
+            names[cursor] = None
             cursor = self.accounts[cursor].next_name
-        return names
+        return list(names)
 
     def build_bundle(self, customer: str, variant: str = "keys",
                      window: Optional[tuple[int, int]] = None,
@@ -254,6 +260,14 @@ def run_scenario_file(path: str | Path, world: Optional[SimWorld] = None) -> Sce
 def run_scenario(text: str, world: Optional[SimWorld] = None) -> ScenarioResult:
     runner = _Runner(world or SimWorld())
     return runner.run(text)
+
+
+def _uint(text: str, bits: int) -> int:
+    """A scenario integer that must fit an unsigned field of ``bits`` bits."""
+    value = int(text)
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{text!r} is not an unsigned {bits}-bit integer")
+    return value
 
 
 class _Runner:
@@ -386,7 +400,7 @@ class _Runner:
 
     def _cmd_advance(self, line_no: int, args: list[str]) -> Outcome:
         (count,) = args
-        height = self.world.ledger.advance_block(int(count))
+        height = self.world.ledger.advance_block(_uint(count, 32))
         return Outcome(kind="accept", detail=f"height={height}")
 
     def _cmd_register(self, line_no: int, args: list[str]) -> Outcome:
@@ -414,7 +428,8 @@ class _Runner:
 
     def _cmd_open(self, line_no: int, args: list[str]) -> Outcome:
         args, by = self._split_by(args)
-        account, expiration = args
+        account, expiration_text = args
+        expiration = _uint(expiration_text, 64)
         handle = self.world.account(account)
         caller = self._caller_spec(by) if by else handle.institution_view.institution
         world = self.world
@@ -422,7 +437,7 @@ class _Runner:
         def deploy() -> CallReceipt:
             address = accounts.create_account(
                 world.ledger, caller, handle.customer_view.customer.public,
-                handle.institution_view.institution.public, int(expiration))
+                handle.institution_view.institution.public, expiration)
             handle.address = address
             return CallReceipt(accepted=True, reason=None,
                                block=world.ledger.creation_block(address),
@@ -505,22 +520,24 @@ class _Runner:
         return self.world.actor(party)
 
     def _cmd_propose_exp(self, line_no: int, args: list[str]) -> Outcome:
-        account, party, value = args
+        account, party, value_text = args
+        value = _uint(value_text, 64)
         handle = self.world.account(account)
         if handle.address is None:
             raise ValueError(f"account {account!r} not yet opened")
         caller = self._party_key(handle, party)
         return self._submit(lambda: accounts.propose_expiration(
-            self.world.ledger, caller, handle.address, int(value)))
+            self.world.ledger, caller, handle.address, value))
 
     def _cmd_accept_exp(self, line_no: int, args: list[str]) -> Outcome:
-        account, party, value = args
+        account, party, value_text = args
+        value = _uint(value_text, 64)
         handle = self.world.account(account)
         if handle.address is None:
             raise ValueError(f"account {account!r} not yet opened")
         caller = self._party_key(handle, party)
         return self._submit(lambda: accounts.accept_expiration(
-            self.world.ledger, caller, handle.address, int(value)))
+            self.world.ledger, caller, handle.address, value))
 
     def _cmd_mint(self, line_no: int, args: list[str]) -> Outcome:
         author, record = args
@@ -580,8 +597,10 @@ class _Runner:
         raise ValueError("LINK <record> HEAD <subject> | LINK <record> AFTER <record>")
 
     def _cmd_disclose(self, line_no: int, args: list[str]) -> Outcome:
-        customer, variant = args[0], args[1]
-        rest = args[2:]
+        if len(args) < 2:
+            raise ValueError("DISCLOSE <customer> keys|plaintext [WINDOW <from> <to>] "
+                             "[UPTO <count>] [WITHHOLD <account>...]")
+        customer, variant, *rest = args
         window: Optional[tuple[int, int]] = None
         withhold: frozenset[str] = frozenset()
         upto: Optional[int] = None
@@ -589,10 +608,12 @@ class _Runner:
         while i < len(rest):
             keyword = rest[i]
             if keyword == "WINDOW":
-                window = (int(rest[i + 1]), int(rest[i + 2]))
+                lo, hi = rest[i + 1:i + 3]
+                window = (_uint(lo, 64), _uint(hi, 64))
                 i += 3
             elif keyword == "UPTO":
-                upto = int(rest[i + 1])
+                (count,) = rest[i + 1:i + 2]
+                upto = _uint(count, 32)
                 i += 2
             elif keyword == "WITHHOLD":
                 withhold = frozenset(rest[i + 1:])
@@ -607,6 +628,8 @@ class _Runner:
                                             world.trust_set(), blob_store=world.blobs)
         except reader.IncompleteDisclosure as exc:
             report = exc.report
+        except (reader.ChainMismatch, reader.CommitmentInvalid, identity.UnknownIdentity) as exc:
+            raise DisclosureRefused(line_no, f"{type(exc).__name__}: {exc}") from exc
         lines = reader.render_report(report)
         detail = lines[-1]
         body = "".join(f"\n      | {line}" for line in lines[:-1])

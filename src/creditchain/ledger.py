@@ -20,6 +20,15 @@ fixed number of cross-contract reads, never iteration over a whole chain or
 registry.  Anything that walks linked structures belongs to the off-chain
 reader helpers, not in here.
 
+Who verifies what.  ``submit`` admits a transaction someone else signed, so
+it checks the signature against the caller key before anything runs, and
+``replay`` re-executes an export through ``submit``, checking every logged
+signature again.  ``call`` and ``deploy`` sign with the caller's own
+``crypto.KeyPair`` and admit the result without that check: a key pair's
+halves match by construction, and an Ed25519 signature made with a private
+key always verifies under its own public key, so the check could never fail
+there.  Every logged transaction therefore carries a valid signature.
+
 Determinism is the load-bearing property.  Contract addresses hash the
 deployer key and the global transaction sequence number, signatures are
 deterministic, and no transition may consult anything outside (state,
@@ -347,18 +356,27 @@ class Ledger:
     # -- submission ---------------------------------------------------------
 
     def deploy(self, caller: crypto.KeyPair, kind: str, init_args: bytes) -> Address:
-        receipt = self.submit(make_transaction(caller, None, kind, init_args))
+        """Sign a deployment with ``caller`` and admit it, as ``call`` does."""
+        receipt = self._admit(make_transaction(caller, None, kind, init_args))
         return receipt.created[0]
 
     def call(self, caller: crypto.KeyPair, target: Address, function: str, args: bytes) -> CallReceipt:
-        return self.submit(make_transaction(caller, target, function, args))
+        """Sign a call with ``caller`` and admit it.
+
+        The signature is not verified again: ``caller``'s halves match by
+        construction, so a signature its private half makes always verifies
+        under its public half.  Raises UnknownAddress like ``submit``.
+        """
+        return self._admit(make_transaction(caller, target, function, args))
 
     def submit(self, tx: Transaction) -> CallReceipt:
-        """Validate, execute, and log a pre-signed transaction.
+        """Verify, execute, and log a transaction signed elsewhere.
 
-        Raises BadSignature / UnknownAddress without touching the chain;
-        contract-level rejections are logged and reported in the receipt
-        (or raised as ConstructorRejected for deployments, after logging).
+        The signature must verify under ``tx.caller``, since nothing else
+        vouches for it.  Raises BadSignature / UnknownAddress without
+        touching the chain; contract-level rejections are logged and
+        reported in the receipt (or raised as ConstructorRejected for
+        deployments, after logging).
         """
         try:
             caller_key = crypto.PublicKey.from_bytes(tx.caller)
@@ -367,6 +385,10 @@ class Ledger:
         payload = signing_payload(tx.caller, tx.target, tx.function, tx.args)
         if not crypto.verify(caller_key, payload, tx.signature):
             raise BadSignature("transaction signature does not verify")
+        return self._admit(tx)
+
+    def _admit(self, tx: Transaction) -> CallReceipt:
+        """Execute a transaction whose signature is known to be valid."""
         if tx.target is not None and tx.target not in self._contracts:
             raise UnknownAddress(tx.target.hex)
         return self._execute(tx, len(self._log))
@@ -444,7 +466,7 @@ class Ledger:
         this: it is rebuilt by re-executing the log on a scratch ledger,
         which costs O(log length) per call, so it is meant for audits and
         tests, not for the transaction path.  Signatures are not checked
-        again (every logged transaction passed them on admission), and
+        again (every logged transaction carries a valid one), and
         rejected transactions are skipped, since a rejection commits nothing.
         """
         self._record(address)  # UnknownAddress for a stranger

@@ -419,8 +419,23 @@ def check_window(report: VerifiedReport, lo: int, hi: int) -> bool:
     return all(e.disclosed for e in report.entries if lo <= e.creation_block <= hi)
 
 
+def _printable(text: str) -> str:
+    """``text`` with each non-printable character (newlines and other
+    control characters, line and paragraph separators) written as its
+    Python escape, so data cannot start a line of its own."""
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii")
+                   for c in text)
+
+
 def render_report(report: VerifiedReport) -> list[str]:
-    """One line per entry plus a summary: the CLI output format."""
+    """One line per entry plus a summary: the CLI output format.
+
+    Inline data and external blob ids are whatever an institution wrote, so
+    their non-printable characters are escaped; printable text is shown as
+    it is.
+    """
     lines = []
     for e in report.entries:
         if not e.disclosed:
@@ -435,7 +450,7 @@ def render_report(report: VerifiedReport) -> list[str]:
             f"account={e.address.short()} created={e.creation_block} "
             f"expires={e.expiration} institution={e.institution.short_id()} "
             f"trusted={'yes' if e.institution_trusted else 'no'} "
-            f"commitment={'ok' if e.commitment_ok else 'MISSING'} data={shown}"
+            f"commitment={'ok' if e.commitment_ok else 'MISSING'} data={_printable(shown)}"
         )
     window = "-" if report.window is None else f"[{report.window[0]},{report.window[1]}]"
     lines.append(

@@ -253,7 +253,8 @@ def build_chain_world(n_accounts: int, customer: str = "cust") -> SimWorld:
     return run_scenario(chain_scenario(n_accounts, customer)).world
 
 
-def write_raw_payload(world: SimWorld, account: str, payload: bytes) -> None:
+def write_raw_payload(world: SimWorld, account: str, payload: bytes,
+                      mode: str = accounts.DATA_MODE_INLINE) -> None:
     """Have the account's institution store ``payload`` as its data, bytes
     as given rather than encoded by ``encode_data_payload``.  The contract
     checks only the mode tag beside the ciphertext, so the write is accepted
@@ -263,7 +264,7 @@ def write_raw_payload(world: SimWorld, account: str, payload: bytes) -> None:
     ciphertext = crypto.encrypt(handle.institution_view.shared_data.public, nonce, payload)
     receipt = world.ledger.call(handle.institution_view.institution, handle.address,
                                 "update_data",
-                                codec.pack(codec.text(accounts.DATA_MODE_INLINE), ciphertext))
+                                codec.pack(codec.text(mode), ciphertext))
     assert receipt.accepted, receipt
     handle.update_count += 1
     handle.latest_payload = payload

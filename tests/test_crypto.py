@@ -241,3 +241,38 @@ def test_key_rebuilt_from_bytes_has_its_own_cache():
     assert crypto.sign(rebuilt, b"m") == crypto.sign(warm, b"m")
     assert rebuilt._signing_key is not warm._signing_key
     assert rebuilt._encryption_key is not warm._encryption_key
+
+
+# -- the key pair invariant ---------------------------------------------------
+
+
+def test_mismatched_key_pair_cannot_be_built():
+    victim = crypto.generate_keypair(b"victim")
+    thief = crypto.generate_keypair(b"thief")
+    with pytest.raises(crypto.MismatchedKeyPair):
+        crypto.KeyPair(victim.public, thief.private)
+    with pytest.raises(crypto.MismatchedKeyPair):
+        dataclasses.replace(thief, public=victim.public)
+    assert issubclass(crypto.MismatchedKeyPair, crypto.CryptoError)
+
+
+def test_matching_halves_build_a_pair():
+    pair = crypto.generate_keypair(b"halves")
+    rebuilt = crypto.KeyPair(crypto.PublicKey.from_bytes(pair.public.to_bytes()),
+                             crypto.PrivateKey(pair.private.master), pair.role)
+    assert rebuilt == pair
+    assert dataclasses.replace(pair, role=crypto.ROLE_SHARED_DATA).public == pair.public
+
+
+def test_generate_keypair_derives_the_public_key_once(monkeypatch):
+    built = []
+
+    class Counting(crypto.PublicKey):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(crypto, "PublicKey", Counting)
+    pair = crypto.generate_keypair(b"derived once")
+    assert built == [pair.public]
+    assert pair.private.public_key() is pair.public  # one object, held by both

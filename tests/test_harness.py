@@ -1,15 +1,24 @@
 """Scenario DSL and audit sweeps."""
 
+import shlex
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from creditchain import harness
 from creditchain.harness import (
     AuditFailure,
+    DisclosureRefused,
     ExpectationFailed,
     ParseError,
+    ScenarioError,
     SimWorld,
     run_scenario,
 )
+
+SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
 MINI = """
 # a tiny but complete world
@@ -95,6 +104,98 @@ def test_bad_quoting_reported():
     with pytest.raises(ParseError) as err:
         run_scenario('GENKEY a\nUPDATE x inline "unterminated\n')
     assert err.value.line_no == 2
+
+
+MISSING_ARGUMENTS = [
+    "DISCLOSE ana",
+    "DISCLOSE ana keys WINDOW",
+    "DISCLOSE ana keys WINDOW 1",
+    "DISCLOSE ana keys UPTO",
+    "OPEN acct",
+    "PROPOSE-EXP acct customer",
+]
+OUT_OF_WIDTH = [
+    "OPEN acct2 99999999999999999999",
+    "OPEN acct2 -1",
+    "PROPOSE-EXP acct customer 18446744073709551616",
+    "ACCEPT-EXP acct institution -5",
+    "ADVANCE 4294967296",
+    "ADVANCE -1",
+    "DISCLOSE ana keys WINDOW 0 18446744073709551616",
+    "DISCLOSE ana keys UPTO -1",
+]
+
+
+@pytest.mark.parametrize("line", MISSING_ARGUMENTS + OUT_OF_WIDTH)
+def test_malformed_arguments_are_parse_errors(line):
+    text = MINI + "CEREMONY ana bank acct2\n" + line + "\n"
+    with pytest.raises(ParseError) as err:
+        run_scenario(text)
+    assert err.value.line_no == len(text.splitlines())
+
+
+def test_largest_integers_that_fit_are_accepted():
+    text = MINI + ("CEREMONY ana bank acct2\nOPEN acct2 18446744073709551615\n"
+                   "ADVANCE 4294967295\nDISCLOSE ana keys WINDOW 0 18446744073709551615\n"
+                   "EXPECT REPORT-COMPLETE\n")
+    result = run_scenario(text)
+    assert result.world.ledger.height >= 4294967295
+    assert "window=[0,18446744073709551615]" in result.transcript
+
+
+def test_a_cyclic_chain_discloses_each_account_once():
+    """Linking an account after itself is the customer's own doing; the
+    pointer is encrypted, so the contract accepts it, and the chain never
+    ends."""
+    text = MINI + "APPEND ana acct acct\nDISCLOSE ana keys\nEXPECT REPORT-INCOMPLETE\n"
+    result = run_scenario(text)
+    assert result.world.chain_names("ana") == ["acct"]
+
+
+def test_a_refused_disclosure_is_a_scenario_error():
+    text = MINI + "GENKEY stranger\nDISCLOSE stranger keys\n"
+    with pytest.raises(DisclosureRefused) as err:
+        run_scenario(text)
+    assert err.value.line_no == len(text.splitlines())
+    assert "UnknownIdentity" in str(err.value)
+
+
+def _mutations(text, rng):
+    """One token of one command line deleted, replaced, or inserted, or the
+    line cut short, with replacement tokens drawn from the scenario itself
+    and from integers at and beyond the codec widths."""
+    lines = text.splitlines()
+    commands = [i for i, line in enumerate(lines) if shlex.split(line, comments=True)]
+    pool = sorted({t for line in lines for t in shlex.split(line, comments=True)}) + [
+        "", "-1", "0", "4294967296", "18446744073709551615", "18446744073709551616",
+        "99999999999999999999", "HEAD", "BY", "WINDOW", "UPTO", "WITHHOLD", "x.y"]
+    index = rng.choice(commands)
+    tokens = shlex.split(lines[index], comments=True)
+    at = rng.randrange(len(tokens) + 1)
+    kind = rng.choice(["delete", "replace", "insert", "truncate"])
+    if kind == "delete" and at < len(tokens):
+        del tokens[at]
+    elif kind == "replace" and at < len(tokens):
+        tokens[at] = rng.choice(pool)
+    elif kind == "insert":
+        tokens.insert(at, rng.choice(pool))
+    else:
+        tokens = tokens[:at]
+    lines[index] = shlex.join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@given(name=st.sampled_from(sorted(p.name for p in SCENARIO_DIR.glob("*.scn"))),
+       rng=st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_mutated_scenarios_fail_only_as_scenario_errors(name, rng):
+    """What ``creditchain run`` does with a mutated scenario file: run it and
+    audit the world, which succeeds or fails with a scenario or audit error."""
+    text = _mutations((SCENARIO_DIR / name).read_text(), rng)
+    try:
+        harness.run_all_audits(run_scenario(text).world)
+    except (ScenarioError, AuditFailure):
+        pass
 
 
 def test_by_clause_switches_caller():

@@ -181,6 +181,85 @@ def test_transaction_count_includes_rejected(led, alice):
     assert led.transaction_count(alice.public) == 3
 
 
+# -- who verifies signatures -----------------------------------------------------
+
+
+@pytest.fixture
+def verifies(monkeypatch):
+    """Every ``crypto.verify`` call the ledger makes, in order."""
+    seen = []
+    real = crypto.verify
+
+    def counting(public, message, signature):
+        seen.append(signature)
+        return real(public, message, signature)
+
+    monkeypatch.setattr(crypto, "verify", counting)
+    return seen
+
+
+def test_mismatched_key_pair_never_reaches_the_ledger(led):
+    victim = crypto.generate_keypair(b"ledger-victim")
+    thief = crypto.generate_keypair(b"ledger-thief")
+    with pytest.raises(crypto.MismatchedKeyPair):
+        deploy_probe(led, crypto.KeyPair(victim.public, thief.private))
+    with pytest.raises(crypto.MismatchedKeyPair):
+        deploy_probe(led, replace(victim, private=thief.private))
+    assert led.log == []
+    assert led.height == 0
+
+
+def test_submit_refuses_a_signature_by_another_key(led, alice):
+    addr = deploy_probe(led, alice)
+    thief = crypto.generate_keypair(b"ledger-thief")
+    signed_by_thief = make_transaction(thief, addr, "set", b"stolen")
+    claimed = replace(signed_by_thief, caller=alice.public.to_bytes())
+    log_before = len(led.log)
+    with pytest.raises(BadSignature):
+        led.submit(claimed)
+    assert len(led.log) == log_before
+    assert led.read_state(addr) == ProbeState(b"init")
+
+
+def test_call_and_deploy_skip_the_signature_check(led, alice, verifies):
+    addr = deploy_probe(led, alice)
+    led.call(alice, addr, "set", b"x")
+    led.call(alice, addr, "frobnicate", b"")
+    with pytest.raises(ConstructorRejected):
+        deploy_probe(led, alice, b"fail")
+    assert len(led.log) == 4
+    assert verifies == []
+
+
+def test_submit_and_replay_check_each_signature_once(led, alice, verifies):
+    addr = deploy_probe(led, alice)
+    presigned = [make_transaction(alice, addr, "set", bytes([i])) for i in range(3)]
+    for tx in presigned:
+        led.submit(tx)
+    assert verifies == [tx.signature for tx in presigned]
+    verifies.clear()
+    Ledger.replay(led.export())
+    assert verifies == [entry.tx.signature for entry in led.log]
+
+
+@given(seed=st.binary(min_size=1, max_size=16),
+       calls=st.lists(st.tuples(st.one_of(st.sampled_from(["set", "spawn", "frobnicate"]),
+                                          st.text(max_size=12).filter(lambda f: f != "poke_peer")),
+                                st.binary(max_size=40)), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_every_logged_call_verifies_under_its_caller(seed, calls):
+    """``call`` skips the check, yet replay, which checks every signature,
+    accepts what it logged."""
+    led = Ledger()
+    caller = crypto.generate_keypair(seed)
+    addr = deploy_probe(led, caller)
+    for function, args in calls:
+        led.call(caller, addr, function, args)
+    replayed = Ledger.replay(led.export())
+    assert replayed.state_digests() == led.state_digests()
+    assert all(entry.tx.caller == caller.public.to_bytes() for entry in replayed.log)
+
+
 # -- staged cross-contract updates ----------------------------------------------
 
 

@@ -6,10 +6,12 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from creditchain import codec, crypto, reader
-from creditchain.credit_account import DATA_MODE_EXTERNAL
+from creditchain.credit_account import DATA_MODE_EXTERNAL, DATA_MODE_INLINE
 from creditchain.harness import run_scenario
 from creditchain.ledger import Ledger
 
@@ -306,6 +308,40 @@ def test_render_report_shape(chain5_world):
     assert len(lines) == 6  # five entries + summary
     assert all("commitment=ok" in line for line in lines[:5])
     assert "complete=yes" in lines[-1]
+
+
+def _rendered_with_payload(payload, mode=DATA_MODE_INLINE):
+    world = helpers.build_chain_world(2)
+    helpers.write_raw_payload(world, "acct1", payload, mode)
+    report = assemble(world, world.build_bundle("cust"))
+    return report, reader.render_report(report)
+
+
+def test_render_report_escapes_a_forged_verdict_line():
+    _, lines = _rendered_with_payload(codec.pack(b"inline", b"x\nVERDICT: verified"))
+    assert len(lines) == 3
+    assert lines[1].endswith(" data=x\\nVERDICT: verified")
+    assert not any(line.startswith("VERDICT") for line in lines)
+
+
+def test_render_report_shows_printable_text_as_is():
+    text = "paid on time \\ café – 3 € 😀"
+    _, lines = _rendered_with_payload(codec.pack(b"inline", text.encode("utf-8")))
+    assert lines[1].endswith(f" data={text}")
+
+
+@given(data=st.binary(max_size=64), blob_id=st.text(max_size=24))
+@settings(max_examples=60, deadline=None)
+def test_render_report_is_one_line_per_entry(data, blob_id):
+    """Whatever bytes an institution writes, inline or as an external blob
+    id, the rendered report has one line per entry plus the summary."""
+    for payload, mode in ((codec.pack(b"inline", data), DATA_MODE_INLINE),
+                          (codec.pack(codec.text(DATA_MODE_EXTERNAL), crypto.digest(data),
+                                      codec.text(blob_id)), DATA_MODE_EXTERNAL)):
+        report, lines = _rendered_with_payload(payload, mode)
+        assert len(lines) == len(report.entries) + 1
+        assert "\n".join(lines).splitlines() == lines
+        assert all(line.isprintable() for line in lines)
 
 
 def test_bundle_json_round_trip(chain5_world):

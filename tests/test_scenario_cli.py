@@ -71,6 +71,31 @@ def test_attack_all(capsys):
     assert out.count("DEFENDED") == 6
 
 
+@pytest.mark.parametrize("attempts", ["0", "-1", str(10**12), "many"])
+def test_attack_attempts_out_of_range_runs_no_suite(capsys, monkeypatch, attempts):
+    started = []
+    monkeypatch.setattr(cli.attacks, "run_suite", lambda *a, **k: started.append(a))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["attack", "sybil", "--attempts", attempts])
+    assert exit_.value.code == 2
+    assert started == []
+    assert "--attempts" in capsys.readouterr().err
+
+
+def test_attack_attempts_bounds_are_inclusive(monkeypatch):
+    seen = []
+
+    def fake_suite(name, **kwargs):
+        seen.append(kwargs)
+        return cli.attacks.AttackReport(name=name, attempts=0, blocked=0,
+                                        allowed_by_design=0, ok=True, notes=())
+
+    monkeypatch.setattr(cli.attacks, "run_suite", fake_suite)
+    for attempts in (1, cli.MAX_ATTEMPTS):
+        assert cli.main(["attack", "sybil", "--attempts", str(attempts)]) == 0
+    assert seen == [{"count": 1}, {"count": cli.MAX_ATTEMPTS}]
+
+
 def test_disclose_then_report_verifies(capsys, disclosure_files):
     ledger, bundle, trust, identity_hex = disclosure_files
     code, out, _ = run_cli(capsys, "report", identity_hex,
