@@ -4,7 +4,8 @@ Every structure that gets signed, hashed, or written to disk goes through
 these helpers: fixed-width big-endian integers and length-prefixed byte
 strings, concatenated in a documented field order.  Two encoders given the
 same values always produce the same bytes, which is what makes transcript
-digests and replay comparisons meaningful.
+digests and replay comparisons meaningful.  An integer outside its field's
+width raises WidthError, a ValueError, rather than encoding truncated bytes.
 """
 
 from __future__ import annotations
@@ -17,23 +18,45 @@ class DecodeError(ValueError):
     """Raised when a byte stream does not match the expected layout."""
 
 
+class WidthError(ValueError):
+    """Raised when an integer does not fit the unsigned field it is written to."""
+
+    def __init__(self, value: object, bits: int) -> None:
+        super().__init__(f"{value!r} is not an unsigned {bits}-bit integer")
+
+
+_U8 = struct.Struct(">B").pack
+_U16 = struct.Struct(">H").pack
+_U32 = struct.Struct(">I").pack
+_U64 = struct.Struct(">Q").pack
+
+
 def u8(value: int) -> bytes:
-    return struct.pack(">B", value)
+    try:
+        return _U8(value)
+    except struct.error:
+        raise WidthError(value, 8) from None
 
 
 def u16(value: int) -> bytes:
-    return struct.pack(">H", value)
-
-
-_U32 = struct.Struct(">I").pack
+    try:
+        return _U16(value)
+    except struct.error:
+        raise WidthError(value, 16) from None
 
 
 def u32(value: int) -> bytes:
-    return _U32(value)
+    try:
+        return _U32(value)
+    except struct.error:
+        raise WidthError(value, 32) from None
 
 
 def u64(value: int) -> bytes:
-    return struct.pack(">Q", value)
+    try:
+        return _U64(value)
+    except struct.error:
+        raise WidthError(value, 64) from None
 
 
 def blob(data: bytes) -> bytes:

@@ -43,7 +43,7 @@ from typing import Callable, Optional
 from . import codec, crypto, identity, public_records, reader
 from . import credit_account as accounts
 from .credit_account import BlobStore
-from .ledger import Address, CallReceipt, ConstructorRejected, ContractRejected, Ledger
+from .ledger import Address, CallReceipt, ConstructorRejected, ContractRejected, Ledger, LedgerError
 
 
 class ScenarioError(Exception):
@@ -263,7 +263,9 @@ def run_scenario(text: str, world: Optional[SimWorld] = None) -> ScenarioResult:
 
 
 def _uint(text: str, bits: int) -> int:
-    """A scenario integer that must fit an unsigned field of ``bits`` bits."""
+    """A DISCLOSE bound, which no codec field carries: it must still fit an
+    unsigned field of ``bits`` bits, like the block numbers and entry counts
+    it bounds."""
     value = int(text)
     if not 0 <= value < 1 << bits:
         raise ValueError(f"{text!r} is not an unsigned {bits}-bit integer")
@@ -307,6 +309,8 @@ class _Runner:
             outcome = handler(line_no, args)
         except (KeyError, ValueError) as exc:
             raise ParseError(line_no, str(exc)) from exc
+        except LedgerError as exc:  # refused before landing, e.g. ChainFull
+            raise ScenarioError(line_no, f"{type(exc).__name__}: {exc}") from exc
         self.steps += 1
         self.last, self.last_line = outcome, line_no
         self.acknowledged = outcome.kind == "accept"
@@ -400,7 +404,7 @@ class _Runner:
 
     def _cmd_advance(self, line_no: int, args: list[str]) -> Outcome:
         (count,) = args
-        height = self.world.ledger.advance_block(_uint(count, 32))
+        height = self.world.ledger.advance_block(int(count))
         return Outcome(kind="accept", detail=f"height={height}")
 
     def _cmd_register(self, line_no: int, args: list[str]) -> Outcome:
@@ -428,8 +432,7 @@ class _Runner:
 
     def _cmd_open(self, line_no: int, args: list[str]) -> Outcome:
         args, by = self._split_by(args)
-        account, expiration_text = args
-        expiration = _uint(expiration_text, 64)
+        account, expiration = args
         handle = self.world.account(account)
         caller = self._caller_spec(by) if by else handle.institution_view.institution
         world = self.world
@@ -437,7 +440,7 @@ class _Runner:
         def deploy() -> CallReceipt:
             address = accounts.create_account(
                 world.ledger, caller, handle.customer_view.customer.public,
-                handle.institution_view.institution.public, expiration)
+                handle.institution_view.institution.public, int(expiration))
             handle.address = address
             return CallReceipt(accepted=True, reason=None,
                                block=world.ledger.creation_block(address),
@@ -520,24 +523,22 @@ class _Runner:
         return self.world.actor(party)
 
     def _cmd_propose_exp(self, line_no: int, args: list[str]) -> Outcome:
-        account, party, value_text = args
-        value = _uint(value_text, 64)
+        account, party, value = args
         handle = self.world.account(account)
         if handle.address is None:
             raise ValueError(f"account {account!r} not yet opened")
         caller = self._party_key(handle, party)
         return self._submit(lambda: accounts.propose_expiration(
-            self.world.ledger, caller, handle.address, value))
+            self.world.ledger, caller, handle.address, int(value)))
 
     def _cmd_accept_exp(self, line_no: int, args: list[str]) -> Outcome:
-        account, party, value_text = args
-        value = _uint(value_text, 64)
+        account, party, value = args
         handle = self.world.account(account)
         if handle.address is None:
             raise ValueError(f"account {account!r} not yet opened")
         caller = self._party_key(handle, party)
         return self._submit(lambda: accounts.accept_expiration(
-            self.world.ledger, caller, handle.address, value))
+            self.world.ledger, caller, handle.address, int(value)))
 
     def _cmd_mint(self, line_no: int, args: list[str]) -> Outcome:
         author, record = args

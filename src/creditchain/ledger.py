@@ -20,14 +20,15 @@ fixed number of cross-contract reads, never iteration over a whole chain or
 registry.  Anything that walks linked structures belongs to the off-chain
 reader helpers, not in here.
 
-Who verifies what.  ``submit`` admits a transaction someone else signed, so
-it checks the signature against the caller key before anything runs, and
-``replay`` re-executes an export through ``submit``, checking every logged
-signature again.  ``call`` and ``deploy`` sign with the caller's own
-``crypto.KeyPair`` and admit the result without that check: a key pair's
-halves match by construction, and an Ed25519 signature made with a private
-key always verifies under its own public key, so the check could never fail
-there.  Every logged transaction therefore carries a valid signature.
+Who verifies what.  Every transaction enters through ``submit``.  A
+transaction someone else signed has its signature checked against the caller
+key before anything runs, and ``replay`` re-executes an export through
+``submit``, checking every logged signature again.  ``call`` and ``deploy``
+sign with the caller's own ``crypto.KeyPair`` and hand ``submit`` that very
+object, which it admits without the check: a key pair's halves match by
+construction, and an Ed25519 signature made with a private key always
+verifies under its own public key, so the check could never fail there.
+Every logged transaction therefore carries a valid signature.
 
 Determinism is the load-bearing property.  Contract addresses hash the
 deployer key and the global transaction sequence number, signatures are
@@ -47,6 +48,8 @@ from . import codec, crypto
 
 EXPORT_MAGIC = b"CCLG"
 EXPORT_VERSION = 1
+# Heights and block numbers are exported as u64.
+LAST_HEIGHT = (1 << 64) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +83,10 @@ class ConstructorRejected(LedgerError):
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
         self.reason = reason
+
+
+class ChainFull(LedgerError):
+    """The open block is the last one a u64 height can seal."""
 
 
 class ReplayMismatch(LedgerError):
@@ -324,6 +331,8 @@ class Ledger:
         self._log: list[LogEntry] = []
         self._height = 0
         self._tx_counts: dict[bytes, int] = {}
+        # The transaction ``call``/``deploy`` are submitting, if any.
+        self._own: Optional[Transaction] = None
 
     # -- block machinery ----------------------------------------------------
 
@@ -332,9 +341,13 @@ class Ledger:
         return self._height
 
     def advance_block(self, count: int = 1) -> int:
-        """Append ``count`` empty blocks; returns the new height."""
-        if count < 0:
-            raise ValueError("cannot advance by a negative count")
+        """Append ``count`` empty blocks; returns the new height.
+
+        A count that is negative or would take the height past
+        ``LAST_HEIGHT`` raises ValueError and leaves the height as it was.
+        """
+        if not 0 <= count <= LAST_HEIGHT - self._height:
+            raise ValueError(f"cannot advance {count} blocks from height {self._height}")
         self._height += count
         return self._height
 
@@ -356,28 +369,52 @@ class Ledger:
     # -- submission ---------------------------------------------------------
 
     def deploy(self, caller: crypto.KeyPair, kind: str, init_args: bytes) -> Address:
-        """Sign a deployment with ``caller`` and admit it, as ``call`` does."""
-        receipt = self._admit(make_transaction(caller, None, kind, init_args))
+        """Sign a deployment with ``caller`` and submit it, as ``call`` does."""
+        receipt = self._submit_own(make_transaction(caller, None, kind, init_args))
         return receipt.created[0]
 
     def call(self, caller: crypto.KeyPair, target: Address, function: str, args: bytes) -> CallReceipt:
-        """Sign a call with ``caller`` and admit it.
+        """Sign a call with ``caller`` and submit it.
 
         The signature is not verified again: ``caller``'s halves match by
         construction, so a signature its private half makes always verifies
         under its public half.  Raises UnknownAddress like ``submit``.
         """
-        return self._admit(make_transaction(caller, target, function, args))
+        return self._submit_own(make_transaction(caller, target, function, args))
+
+    def _submit_own(self, tx: Transaction) -> CallReceipt:
+        """Submit ``tx``, just signed with a KeyPair by ``call``/``deploy``.
+
+        ``submit`` stays the one entry point every admitted transaction
+        passes; it recognises this object and skips the check that cannot fail.
+        """
+        self._own = tx
+        try:
+            return self.submit(tx)
+        finally:
+            self._own = None
 
     def submit(self, tx: Transaction) -> CallReceipt:
-        """Verify, execute, and log a transaction signed elsewhere.
+        """Verify, execute, and log a transaction.
 
-        The signature must verify under ``tx.caller``, since nothing else
-        vouches for it.  Raises BadSignature / UnknownAddress without
-        touching the chain; contract-level rejections are logged and
-        reported in the receipt (or raised as ConstructorRejected for
-        deployments, after logging).
+        A transaction signed elsewhere must verify under ``tx.caller``, since
+        nothing else vouches for it; only the object ``call``/``deploy`` are
+        submitting right now skips that check.  Raises BadSignature /
+        UnknownAddress / ChainFull without touching the chain (the last
+        height has no block left to seal); contract-level rejections
+        are logged and reported in the receipt (or raised as
+        ConstructorRejected for deployments, after logging).
         """
+        if tx is not self._own:
+            self._check_signature(tx)
+        if tx.target is not None and tx.target not in self._contracts:
+            raise UnknownAddress(tx.target.hex)
+        if self._height == LAST_HEIGHT:
+            raise ChainFull(f"no block after height {LAST_HEIGHT}")
+        return self._execute(tx, len(self._log))
+
+    @staticmethod
+    def _check_signature(tx: Transaction) -> None:
         try:
             caller_key = crypto.PublicKey.from_bytes(tx.caller)
         except crypto.CryptoError as exc:
@@ -385,13 +422,6 @@ class Ledger:
         payload = signing_payload(tx.caller, tx.target, tx.function, tx.args)
         if not crypto.verify(caller_key, payload, tx.signature):
             raise BadSignature("transaction signature does not verify")
-        return self._admit(tx)
-
-    def _admit(self, tx: Transaction) -> CallReceipt:
-        """Execute a transaction whose signature is known to be valid."""
-        if tx.target is not None and tx.target not in self._contracts:
-            raise UnknownAddress(tx.target.hex)
-        return self._execute(tx, len(self._log))
 
     def _execute(self, tx: Transaction, seq: int) -> CallReceipt:
         """Apply an admitted transaction in the open block, log it, and

@@ -43,6 +43,16 @@ def test_integer_widths():
     assert codec.u64(2**40) == bytes([0, 0, 1, 0, 0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("encode, bits", [(codec.u8, 8), (codec.u16, 16),
+                                          (codec.u32, 32), (codec.u64, 64)])
+def test_integers_outside_their_width_raise_width_error(encode, bits):
+    assert encode(2**bits - 1) == b"\xff" * (bits // 8)
+    for value in (2**bits, -1, 10**30):
+        with pytest.raises(codec.WidthError, match=f"unsigned {bits}-bit"):
+            encode(value)
+    assert issubclass(codec.WidthError, ValueError)
+
+
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_u64_round_trip(n):
     reader = codec.ByteReader(codec.u64(n))

@@ -17,6 +17,7 @@ from creditchain.harness import (
     SimWorld,
     run_scenario,
 )
+from creditchain.ledger import LAST_HEIGHT
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
 
@@ -119,7 +120,7 @@ OUT_OF_WIDTH = [
     "OPEN acct2 -1",
     "PROPOSE-EXP acct customer 18446744073709551616",
     "ACCEPT-EXP acct institution -5",
-    "ADVANCE 4294967296",
+    "ADVANCE 18446744073709551616",
     "ADVANCE -1",
     "DISCLOSE ana keys WINDOW 0 18446744073709551616",
     "DISCLOSE ana keys UPTO -1",
@@ -141,6 +142,14 @@ def test_largest_integers_that_fit_are_accepted():
     result = run_scenario(text)
     assert result.world.ledger.height >= 4294967295
     assert "window=[0,18446744073709551615]" in result.transcript
+
+
+def test_a_transaction_past_the_last_height_is_a_scenario_error():
+    world = SimWorld()
+    world.ledger.advance_block(LAST_HEIGHT - world.ledger.height)
+    with pytest.raises(ScenarioError, match="ChainFull") as err:
+        run_scenario('GENKEY bank\nREGISTER bank "US:INST-1"\n', world)
+    assert err.value.line_no == 2
 
 
 def test_a_cyclic_chain_discloses_each_account_once():

@@ -15,7 +15,9 @@ from creditchain.ledger import (
     EXPORT_MAGIC,
     EXPORT_VERSION,
     Address,
+    LAST_HEIGHT,
     BadSignature,
+    ChainFull,
     ConstructorRejected,
     ContractRejected,
     Ledger,
@@ -113,6 +115,26 @@ def test_advance_block_adds_empty_blocks(led, alice):
 def test_advance_block_rejects_negative(led):
     with pytest.raises(ValueError):
         led.advance_block(-1)
+
+
+def test_the_height_stays_within_u64(led, alice):
+    addr = deploy_probe(led, alice)
+    led.advance_block(LAST_HEIGHT - 1 - led.height)
+    led.call(alice, addr, "set", b"last")
+    assert led.height == LAST_HEIGHT == 2**64 - 1
+    for count in (1, 2**70):
+        with pytest.raises(ValueError):
+            led.advance_block(count)
+    log_before = len(led.log)
+    with pytest.raises(ChainFull):
+        led.call(alice, addr, "set", b"one too many")
+    with pytest.raises(ChainFull):
+        led.submit(make_transaction(alice, addr, "set", b"one too many"))
+    assert len(led.log) == log_before
+    assert led.height == LAST_HEIGHT
+    replayed = Ledger.replay(led.export())
+    assert replayed.state_digests() == led.state_digests()
+    assert replayed.read_state(addr) == ProbeState(b"last")
 
 
 def test_addresses_and_kind_listing(led, alice):
@@ -229,6 +251,19 @@ def test_call_and_deploy_skip_the_signature_check(led, alice, verifies):
         deploy_probe(led, alice, b"fail")
     assert len(led.log) == 4
     assert verifies == []
+
+
+def test_a_transaction_taken_from_the_log_is_checked_again(led, alice, verifies):
+    addr = deploy_probe(led, alice)
+    with pytest.raises(ConstructorRejected):
+        deploy_probe(led, alice, b"fail")
+    led.call(alice, addr, "set", b"x")
+    for entry in led.log[:3]:
+        try:
+            led.submit(entry.tx)
+        except ConstructorRejected:
+            pass
+    assert verifies == [entry.tx.signature for entry in led.log[:3]]
 
 
 def test_submit_and_replay_check_each_signature_once(led, alice, verifies):
