@@ -20,6 +20,13 @@ fixed number of cross-contract reads, never iteration over a whole chain or
 registry.  Anything that walks linked structures belongs to the off-chain
 reader helpers, not in here.
 
+Who stamps the block.  ``call`` and ``deploy`` sign each transaction with
+the open block already in it, so ``submit`` logs that very object.  The
+block is not part of the signed payload (``signing_payload``): signatures,
+exports and transcripts do not depend on when a transaction was signed.  A
+transaction that arrives with another block, such as a foreign one made with
+``make_transaction``'s default ``block=-1``, is logged with the open block.
+
 Who verifies what.  Every transaction enters through ``submit``.  A
 transaction someone else signed has its signature checked against the caller
 key before anything runs, and ``replay`` re-executes an export through
@@ -39,6 +46,7 @@ every contract state byte for byte, which ``replay`` verifies.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -108,6 +116,9 @@ class Address:
         if len(self.digest) != crypto.DIGEST_SIZE:
             raise ValueError("address must be 32 bytes")
 
+    def __hash__(self) -> int:  # equal exactly when the digests are
+        return hash(self.digest)
+
     @property
     def hex(self) -> str:
         return self.digest.hex()
@@ -159,14 +170,23 @@ def make_transaction(
     target: Optional[Address],
     function: str,
     args: bytes,
+    block: int = -1,
 ) -> Transaction:
-    payload = signing_payload(caller.public.to_bytes(), target, function, args)
+    """Sign a transaction with ``caller``'s private key.
+
+    ``block`` is where the transaction is meant to land; ``Ledger.call`` and
+    ``deploy`` pass the open block.  It is not signed, so the signature is
+    the same for any block, and ``submit`` logs a transaction whose block is
+    not the open one (the default ``-1``, say) with the open block.
+    """
+    caller_key = caller.public.to_bytes()
     return Transaction(
-        caller=caller.public.to_bytes(),
+        caller=caller_key,
         target=target,
         function=function,
         args=args,
-        signature=crypto.sign(caller.private, payload),
+        signature=crypto.sign(caller.private, signing_payload(caller_key, target, function, args)),
+        block=block,
     )
 
 
@@ -242,6 +262,9 @@ class CallContext:
     outside until the transaction commits.
     """
 
+    __slots__ = ("_ledger", "_tx", "_seq", "caller", "self_address", "height",
+                 "staged", "created", "result")
+
     def __init__(self, ledger: "Ledger", tx: Transaction, seq: int, self_address: Optional[Address]) -> None:
         self._ledger = ledger
         self._tx = tx
@@ -309,6 +332,9 @@ class _Blocks(Sequence):
         self._log, self._count, self._len = log, count, height + 1
 
     def __len__(self) -> int:
+        if self._len > sys.maxsize:  # ``len`` cannot return more
+            raise OverflowError(f"height {self._len - 1} has more blocks than len() can "
+                                f"return; count them as Ledger.height + 1")
         return self._len
 
     def __getitem__(self, index):
@@ -353,7 +379,13 @@ class Ledger:
 
     @property
     def blocks(self) -> Sequence[list[LogEntry]]:
-        """Every block up to and including the open one, rebuilt from the log."""
+        """Every block up to and including the open one, rebuilt from the log.
+
+        Indexing and slicing work at any height.  ``len`` (and so
+        ``reversed``) raises OverflowError once the height reaches
+        ``sys.maxsize``, since Python's ``len`` cannot return more; the
+        block count is always ``Ledger.height + 1``.
+        """
         return _Blocks(self._log, len(self._log), self._height)
 
     @property
@@ -370,17 +402,17 @@ class Ledger:
 
     def deploy(self, caller: crypto.KeyPair, kind: str, init_args: bytes) -> Address:
         """Sign a deployment with ``caller`` and submit it, as ``call`` does."""
-        receipt = self._submit_own(make_transaction(caller, None, kind, init_args))
+        receipt = self._submit_own(make_transaction(caller, None, kind, init_args, self._height))
         return receipt.created[0]
 
     def call(self, caller: crypto.KeyPair, target: Address, function: str, args: bytes) -> CallReceipt:
-        """Sign a call with ``caller`` and submit it.
+        """Sign a call with ``caller`` in the open block and submit it.
 
         The signature is not verified again: ``caller``'s halves match by
         construction, so a signature its private half makes always verifies
         under its public half.  Raises UnknownAddress like ``submit``.
         """
-        return self._submit_own(make_transaction(caller, target, function, args))
+        return self._submit_own(make_transaction(caller, target, function, args, self._height))
 
     def _submit_own(self, tx: Transaction) -> CallReceipt:
         """Submit ``tx``, just signed with a KeyPair by ``call``/``deploy``.
@@ -407,11 +439,12 @@ class Ledger:
         """
         if tx is not self._own:
             self._check_signature(tx)
-        if tx.target is not None and tx.target not in self._contracts:
+        record = self._contracts.get(tx.target)  # None for a deployment
+        if record is None and tx.target is not None:
             raise UnknownAddress(tx.target.hex)
         if self._height == LAST_HEIGHT:
             raise ChainFull(f"no block after height {LAST_HEIGHT}")
-        return self._execute(tx, len(self._log))
+        return self._execute(tx, len(self._log), record)
 
     @staticmethod
     def _check_signature(tx: Transaction) -> None:
@@ -423,10 +456,11 @@ class Ledger:
         if not crypto.verify(caller_key, payload, tx.signature):
             raise BadSignature("transaction signature does not verify")
 
-    def _execute(self, tx: Transaction, seq: int) -> CallReceipt:
+    def _execute(self, tx: Transaction, seq: int, record: Optional[_ContractRecord]) -> CallReceipt:
         """Apply an admitted transaction in the open block, log it, and
-        commit its changes if the transition accepted it."""
-        if tx.block != self._height:  # logged and decoded transactions already carry it
+        commit its changes if the transition accepted it.  ``record`` is the
+        target's, or None for a deployment."""
+        if tx.block != self._height:  # own, logged and decoded ones already carry it
             tx = replace(tx, block=self._height)
         ctx = CallContext(self, tx, seq, tx.target)
         try:
@@ -439,7 +473,6 @@ class Ledger:
                 ctx.created[address] = (cls, state)
                 new_target_state = None
             else:
-                record = self._contracts[tx.target]
                 new_target_state = record.cls.apply(record.state, ctx, tx.function, tx.args)
         except (ContractRejected, ConstructorRejected) as exc:
             receipt = self._include(tx, seq, accepted=False, reason=exc.reason)
@@ -505,7 +538,7 @@ class Ledger:
             if not entry.accepted:
                 continue
             scratch.advance_block(entry.tx.block - scratch.height)
-            receipt = scratch._execute(entry.tx, entry.seq)
+            receipt = scratch._execute(entry.tx, entry.seq, scratch._contracts.get(entry.tx.target))
             if address in receipt.created:
                 scratch.entries.append(HistoryEntry(receipt.block, entry.tx,
                                                     scratch.read_state(address)))

@@ -3,7 +3,8 @@ import hashlib
 import pytest
 
 from creditchain import crypto, identity, public_records
-from creditchain.ledger import Ledger
+from creditchain.identity import IdentityContract
+from creditchain.ledger import CallContext, Ledger, make_transaction
 
 
 @pytest.fixture
@@ -181,6 +182,38 @@ def test_record_head_write_once(world):
     identity.set_first_public_record(led, registry, alice, first)
     receipt = identity.set_first_public_record(led, registry, alice, second)
     assert receipt.reason == "PointerAlreadySet"
+
+
+# -- transitions leave their input state alone -------------------------------------
+
+
+def test_every_transition_leaves_its_input_state_unchanged(world):
+    """``read_state`` and ``history`` hand out states as snapshots, so a
+    transition must build its next state and never edit the one it got."""
+    led, registry = world
+    alice, court, bank, carol = pair("alice"), pair("court"), pair("bank"), pair("carol")
+    identity.register(led, registry, alice, FP_ALICE)
+    identity.certify(led, registry, court, alice.public)
+    factory = public_records.deploy_factory(led, court)
+    record = public_records.mint_record(led, factory, alice)
+    public_records.fill_record(led, alice, record, b"statement")
+    state = led.read_state(registry)
+    records, index = dict(state.records), dict(state.fingerprint_index)
+    encoded = IdentityContract.encode_state(state)
+
+    for caller, function, args in [
+        (carol, "register", FP_ALICE),
+        (bank, "certify", alice.public.to_bytes()),
+        (court, "decertify", alice.public.to_bytes()),
+        (alice, "set_first_credit_account", b"ciphertext"),
+        (alice, "set_first_public_record", record.digest),
+    ]:
+        tx = make_transaction(caller, registry, function, args, led.height)
+        ctx = CallContext(led, tx, len(led.log), registry)
+        assert IdentityContract.apply(state, ctx, function, args) != state
+        assert state.records == records and state.fingerprint_index == index
+        assert all(state.records[key] is value for key, value in records.items())
+        assert IdentityContract.encode_state(state) == encoded
 
 
 # -- certification vetting -----------------------------------------------------------

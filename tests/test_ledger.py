@@ -295,6 +295,40 @@ def test_every_logged_call_verifies_under_its_caller(seed, calls):
     assert all(entry.tx.caller == caller.public.to_bytes() for entry in replayed.log)
 
 
+# -- the block a transaction is signed with ----------------------------------------
+
+
+def test_the_block_is_not_signed(alice):
+    addr = Address(crypto.digest(b"anywhere"))
+    unstamped = make_transaction(alice, addr, "set", b"x")
+    stamped = make_transaction(alice, addr, "set", b"x", block=7)
+    assert (unstamped.block, stamped.block) == (-1, 7)
+    assert stamped.signature == unstamped.signature
+
+
+def test_a_call_is_logged_with_its_receipt_block(led, alice):
+    addr = deploy_probe(led, alice)
+    led.advance_block(4)
+    receipt = led.call(alice, addr, "set", b"x")
+    assert led.log[-1].tx.block == receipt.block == 5
+    assert [entry.tx.block for entry in led.log] == [0, 5]
+
+
+@pytest.mark.parametrize("block", [-1, 0, 99])
+def test_a_foreign_transaction_is_logged_with_the_open_block(led, alice, block):
+    addr = deploy_probe(led, alice)
+    led.advance_block(2)
+    tx = make_transaction(alice, addr, "set", b"x", block=block)
+    receipt = led.submit(tx)
+    logged = led.log[-1].tx
+    assert logged.block == receipt.block == 3
+    assert replace(logged, block=block) == tx
+    data = led.export()
+    replayed = Ledger.replay(data)
+    assert replayed.export() == data
+    assert [entry.tx for entry in replayed.log] == [entry.tx for entry in led.log]
+
+
 # -- staged cross-contract updates ----------------------------------------------
 
 
@@ -478,6 +512,17 @@ def test_blocks_of_huge_height_are_built_on_demand():
     assert len(led.blocks) == 2**40 + 1
     assert led.blocks[-1] == []
     assert time.process_time() - started < 0.5
+
+
+def test_blocks_past_the_len_limit_index_but_refuse_len():
+    led = Ledger()
+    led.advance_block(2**63)
+    blocks = led.blocks
+    assert blocks[-1] == [] and blocks[0] == []
+    assert blocks[2**63 - 1:] == [[], []]
+    for count in (len, lambda view: next(reversed(view))):
+        with pytest.raises(OverflowError, match=r"height 9223372036854775808 .*Ledger\.height \+ 1"):
+            count(blocks)
 
 
 def test_block_view_matches_blocks_rebuilt_by_a_full_pass(alice):
