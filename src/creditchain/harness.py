@@ -23,8 +23,8 @@ Every on-chain action yields ACCEPT or REJECT <reason>; a rejection must be
 acknowledged by an ``EXPECT REJECT <reason>`` on the following line or the
 run aborts — scenarios state their failures explicitly.  ``EXPECT`` also
 asserts ACCEPT, REPORT-COMPLETE, and REPORT-INCOMPLETE.  The full command
-set is documented in the README; parsing is shlex-based, so arguments with
-spaces are quoted and ``#`` starts a comment.
+set is the ``_COMMANDS`` table below, documented in the README; parsing is
+shlex-based, so arguments with spaces are quoted and ``#`` starts a comment.
 
 The audit sweeps at the bottom re-check global invariants over a finished
 world: replay fidelity, one-shot fields staying one-shot, list structure
@@ -38,12 +38,12 @@ from __future__ import annotations
 import shlex
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import codec, crypto, identity, public_records, reader
 from . import credit_account as accounts
 from .credit_account import BlobStore
-from .ledger import Address, CallReceipt, ConstructorRejected, ContractRejected, Ledger, LedgerError
+from .ledger import Address, CallReceipt, ConstructorRejected, Ledger, LedgerError, ReplayMismatch
 
 
 class ScenarioError(Exception):
@@ -241,8 +241,7 @@ class SimWorld:
 @dataclass(frozen=True)
 class Outcome:
     kind: str  # "accept" | "reject" | "report"
-    detail: str = ""
-    reason: Optional[str] = None
+    detail: str = ""  # for a rejection, its reason
     report: Optional[reader.VerifiedReport] = None
 
 
@@ -258,18 +257,111 @@ def run_scenario_file(path: str | Path, world: Optional[SimWorld] = None) -> Sce
 
 
 def run_scenario(text: str, world: Optional[SimWorld] = None) -> ScenarioResult:
-    runner = _Runner(world or SimWorld())
-    return runner.run(text)
+    return _Runner(world or SimWorld()).run(text)
 
 
-def _uint(text: str, bits: int) -> int:
-    """A DISCLOSE bound, which no codec field carries: it must still fit an
-    unsigned field of ``bits`` bits, like the block numbers and entry counts
-    it bounds."""
-    value = int(text)
-    if not 0 <= value < 1 << bits:
-        raise ValueError(f"{text!r} is not an unsigned {bits}-bit integer")
+def _actor(world: SimWorld, name: str) -> str:
+    world.actor(name)  # an actor must exist; handlers look its keys up by name
+    return name
+
+
+def _opened(world: SimWorld, name: str) -> AccountHandle:
+    handle = world.account(name)
+    if handle.address is None:
+        raise ValueError(f"account {name!r} not yet opened")
+    return handle
+
+
+def _record(world: SimWorld, name: str) -> RecordHandle:
+    try:
+        return world.records[name]
+    except KeyError:
+        raise KeyError(f"unknown record {name!r}") from None
+
+
+def _role_key(handle: AccountHandle, role: str) -> crypto.KeyPair:
+    """The account key of one party: ``customer`` or ``institution``."""
+    if role == "customer":
+        return handle.customer_view.customer
+    if role == "institution":
+        return handle.institution_view.institution
+    raise ValueError(f"unknown account role {role!r}")
+
+
+def _caller(world: SimWorld, spec: str) -> crypto.KeyPair:
+    """``name`` (identity key) or ``account.customer``/``account.institution``."""
+    if "." in spec:
+        account, _, role = spec.rpartition(".")
+        return _role_key(world.account(account), role)
+    return world.actor(spec)
+
+
+def _unsigned(encode: Callable[[int], bytes], token: str) -> int:
+    value = int(token)
+    encode(value)  # codec.WidthError, a ValueError, if it does not fit the field
     return value
+
+
+# Each argument kind a command form can name, and how to convert its token.
+_KINDS: dict[str, Callable[[SimWorld, str], Any]] = {
+    "<text>": lambda world, token: token,
+    "<actor>": _actor,
+    "<account>": SimWorld.account,
+    "<opened>": _opened,
+    "<record>": _record,
+    "<u32>": lambda world, token: _unsigned(codec.u32, token),
+    "<u64>": lambda world, token: _unsigned(codec.u64, token),
+}
+
+
+class _Syntax(NamedTuple):
+    forms: tuple[str, ...]
+    by: bool = False  # takes a trailing ``BY <caller>``
+    options: tuple[str, ...] = ()  # keyword-led, in any order after the form
+
+
+_EXPIRATION = _Syntax(("<opened> customer <u64>", "<opened> institution <u64>",
+                       "<opened> <actor> <u64>"))
+
+# Every scenario command and the argument forms it accepts.  In a form, a
+# word in angle brackets is an argument of that kind (see ``_KINDS``) and any
+# other word a keyword spelled as written; ``<kind>...`` takes every
+# remaining token.  A line takes the first form whose keywords and length
+# fit, and each handler receives the converted words, keywords included.
+_COMMANDS: dict[str, _Syntax] = {
+    "GENKEY": _Syntax(("<text>",)),
+    "ADVANCE": _Syntax(("<u64>",)),
+    "REGISTER": _Syntax(("<actor> <text>",)),
+    "CERTIFY": _Syntax(("<actor> <actor>",)),
+    "DECERTIFY": _Syntax(("<actor> <actor>",)),
+    "CEREMONY": _Syntax(("<actor> <actor> <text>",)),
+    "OPEN": _Syntax(("<account> <u64>",), by=True),
+    "COMMIT": _Syntax(("<opened>",), by=True),
+    "APPEND": _Syntax(("<actor> HEAD <opened>", "<actor> <opened> <opened>"), by=True),
+    "UPDATE": _Syntax(("<opened> inline <text>", "<opened> external <text>",
+                       f"<opened> {accounts.DATA_MODE_EXTERNAL} <text>"), by=True),
+    "PROPOSE-EXP": _EXPIRATION,
+    "ACCEPT-EXP": _EXPIRATION,
+    "MINT": _Syntax(("<actor> <text>",)),
+    "FILL": _Syntax(("<record> plaintext <text>", "<record> encrypted <actor> <text>"), by=True),
+    "LINK": _Syntax(("<record> HEAD <actor>", "<record> AFTER <record>"), by=True),
+    "DISCLOSE": _Syntax(("<actor> keys", "<actor> plaintext"),
+                        options=("WINDOW <u64> <u64>", "UPTO <u32>", "WITHHOLD <account>...")),
+    "EXPECT": _Syntax(("ACCEPT", "REJECT <text>", "REPORT-COMPLETE", "REPORT-INCOMPLETE")),
+}
+
+
+def _usage(command: str) -> str:
+    syntax = _COMMANDS[command]
+    by = ("BY <caller>",) if syntax.by else ()
+    tail = "".join(f" [{option}]" for option in syntax.options + by)
+    return "usage: " + " | ".join(f"{command} {form}{tail}" for form in syntax.forms)
+
+
+def _fits(words: list[str], tokens: list[str]) -> bool:
+    """One token per word, and each keyword spelled as written."""
+    return len(tokens) == len(words) and all(
+        word.startswith("<") or word == token for word, token in zip(words, tokens))
 
 
 class _Runner:
@@ -295,18 +387,20 @@ class _Runner:
                               steps=self.steps)
 
     def dispatch(self, line_no: int, raw: str, tokens: list[str]) -> None:
-        command, args = tokens[0], tokens[1:]
-        if command == "EXPECT":
-            self._expect(line_no, args)
-            self.lines.append(f"[{line_no:3}] {raw} -> OK")
-            return
-        self._require_acknowledged(line_no)
-        handler: Optional[Callable[[int, list[str]], Outcome]] = getattr(
-            self, "_cmd_" + command.lower().replace("-", "_"), None)
-        if handler is None:
-            raise ParseError(line_no, f"unknown command {command!r}")
+        command = tokens[0].upper().replace("_", "-")
+        if command != "EXPECT":
+            self._require_acknowledged(line_no)
         try:
-            outcome = handler(line_no, args)
+            values, options = self._parse(command, tokens[1:])
+            if command == "EXPECT":
+                self._expect(line_no, " ".join(values))
+                self.lines.append(f"[{line_no:3}] {raw} -> OK")
+                return
+            handler = getattr(self, "_cmd_" + command.lower().replace("-", "_"))
+            outcome: Outcome = handler(*values, **options)
+        except (reader.ChainMismatch, reader.CommitmentInvalid, identity.UnknownIdentity) as exc:
+            # only DISCLOSE runs the reader, which raises these
+            raise DisclosureRefused(line_no, f"{type(exc).__name__}: {exc}") from exc
         except (KeyError, ValueError) as exc:
             raise ParseError(line_no, str(exc)) from exc
         except LedgerError as exc:  # refused before landing, e.g. ChainFull
@@ -315,12 +409,38 @@ class _Runner:
         self.last, self.last_line = outcome, line_no
         self.acknowledged = outcome.kind == "accept"
         suffix = f" {outcome.detail}" if outcome.detail else ""
-        if outcome.kind == "reject":
-            self.lines.append(f"[{line_no:3}] {raw} -> REJECT {outcome.reason}")
-        elif outcome.kind == "report":
-            self.lines.append(f"[{line_no:3}] {raw} -> REPORT{suffix}")
+        self.lines.append(f"[{line_no:3}] {raw} -> {outcome.kind.upper()}{suffix}")
+
+    def _parse(self, command: str, args: list[str]) -> tuple[list[Any], dict[str, Any]]:
+        """Match ``args`` to a form of ``command`` and convert every word:
+        the form's words in order, then ``by`` and the options by name."""
+        syntax = _COMMANDS.get(command)
+        if syntax is None:
+            raise ValueError(f"unknown command {command!r}")
+        named: dict[str, Any] = {}
+        if syntax.by and len(args) >= 2 and args[-2] == "BY":
+            args, named["by"] = args[:-2], _caller(self.world, args[-1])
+        for form in syntax.forms:
+            words = form.split()
+            if _fits(words, args[:len(words)]) and (syntax.options or len(args) == len(words)):
+                break
         else:
-            self.lines.append(f"[{line_no:3}] {raw} -> ACCEPT{suffix}")
+            raise ValueError(_usage(command))
+        values = self._convert(words, args)
+        rest = args[len(words):]
+        while rest:
+            words = next((o.split() for o in syntax.options if o.split()[0] == rest[0]), [])
+            if words and words[-1].endswith("..."):  # that kind for each word left
+                words = words[:-1] + [words[-1][:-3]] * (len(rest) - len(words) + 1)
+            if not words or not _fits(words, rest[:len(words)]):
+                raise ValueError(_usage(command))
+            named[rest[0].lower()] = tuple(self._convert(words[1:], rest[1:]))
+            rest = rest[len(words):]
+        return values, named
+
+    def _convert(self, words: list[str], tokens: list[str]) -> list[Any]:
+        return [_KINDS[word](self.world, token) if word.startswith("<") else token
+                for word, token in zip(words, tokens)]
 
     def _require_acknowledged(self, line_no: int) -> None:
         if not self.acknowledged and self.last is not None:
@@ -328,186 +448,107 @@ class _Runner:
             self.acknowledged = True
             raise ExpectationFailed(
                 line_no, f"unacknowledged {previous.kind.upper()} "
-                         f"({previous.reason or previous.detail}) from line {self.last_line}")
+                         f"({previous.detail}) from line {self.last_line}")
 
-    # -- EXPECT ----------------------------------------------------------
-
-    def _expect(self, line_no: int, args: list[str]) -> None:
-        if self.last is None:
-            raise ExpectationFailed(line_no, "EXPECT with nothing preceding it")
-        if not args:
-            raise ParseError(line_no, "EXPECT needs an outcome")
-        want = args[0]
-        outcome = self.last
+    def _expect(self, line_no: int, want: str) -> None:
         self.acknowledged = True
-        if want == "ACCEPT":
-            if outcome.kind != "accept":
-                raise ExpectationFailed(line_no, f"expected ACCEPT, got {self._describe(outcome)}")
-        elif want == "REJECT":
-            if len(args) != 2:
-                raise ParseError(line_no, "EXPECT REJECT needs exactly one reason")
-            if outcome.kind != "reject" or outcome.reason != args[1]:
-                raise ExpectationFailed(
-                    line_no, f"expected REJECT {args[1]}, got {self._describe(outcome)}")
-        elif want == "REPORT-COMPLETE":
-            if outcome.kind != "report" or outcome.report is None or not outcome.report.complete:
-                raise ExpectationFailed(line_no, f"expected a complete report, got {self._describe(outcome)}")
-        elif want == "REPORT-INCOMPLETE":
-            if outcome.kind != "report" or outcome.report is None or outcome.report.complete:
-                raise ExpectationFailed(line_no, f"expected an incomplete report, got {self._describe(outcome)}")
-        else:
-            raise ParseError(line_no, f"unknown expectation {want!r}")
+        got = self._describe(self.last) if self.last else "nothing"
+        if got != want:
+            raise ExpectationFailed(line_no, f"expected {want}, got {got}")
 
     @staticmethod
     def _describe(outcome: Outcome) -> str:
+        """The outcome as the EXPECT words that match it."""
         if outcome.kind == "reject":
-            return f"REJECT {outcome.reason}"
+            return f"REJECT {outcome.detail}"
         if outcome.kind == "report":
-            return f"REPORT {outcome.detail}"
+            complete = outcome.report is not None and outcome.report.complete
+            return "REPORT-COMPLETE" if complete else "REPORT-INCOMPLETE"
         return "ACCEPT"
 
-    # -- helpers ----------------------------------------------------------
-
-    def _submit(self, fn: Callable[[], CallReceipt]) -> Outcome:
-        try:
-            receipt = fn()
-        except (ContractRejected, ConstructorRejected) as exc:
-            return Outcome(kind="reject", reason=exc.reason)
-        if not receipt.accepted:
-            return Outcome(kind="reject", reason=receipt.reason)
-        return Outcome(kind="accept", detail=f"block={receipt.block}")
-
-    def _caller_spec(self, spec: str) -> crypto.KeyPair:
-        """``name`` (identity key) or ``account.customer``/``account.institution``."""
-        if "." in spec:
-            account, _, role = spec.rpartition(".")
-            handle = self.world.account(account)
-            if role == "customer":
-                return handle.customer_view.customer
-            if role == "institution":
-                return handle.institution_view.institution
-            raise ValueError(f"unknown account role {role!r}")
-        return self.world.actor(spec)
+    # -- commands: each receives its converted form words ----------------------
 
     @staticmethod
-    def _split_by(args: list[str]) -> tuple[list[str], Optional[str]]:
-        if len(args) >= 2 and args[-2] == "BY":
-            return args[:-2], args[-1]
-        return args, None
+    def _outcome(receipt: CallReceipt) -> Outcome:
+        if not receipt.accepted:
+            return Outcome(kind="reject", detail=receipt.reason or "")
+        return Outcome(kind="accept", detail=f"block={receipt.block}")
 
-    # -- commands ----------------------------------------------------------
-
-    def _cmd_genkey(self, line_no: int, args: list[str]) -> Outcome:
-        (name,) = args
+    def _cmd_genkey(self, name: str) -> Outcome:
         pair = self.world.add_actor(name)
         return Outcome(kind="accept", detail=f"key={pair.public.short_id()}")
 
-    def _cmd_advance(self, line_no: int, args: list[str]) -> Outcome:
-        (count,) = args
-        height = self.world.ledger.advance_block(int(count))
+    def _cmd_advance(self, count: int) -> Outcome:
+        height = self.world.ledger.advance_block(count)
         return Outcome(kind="accept", detail=f"height={height}")
 
-    def _cmd_register(self, line_no: int, args: list[str]) -> Outcome:
-        name, fingerprint_text = args
-        pair = self.world.actor(name)
-        fingerprint = identity.fingerprint_from_text(fingerprint_text)
-        return self._submit(lambda: identity.register(
-            self.world.ledger, self.world.registry, pair, fingerprint))
+    def _cmd_register(self, name: str, fingerprint: str) -> Outcome:
+        return self._outcome(identity.register(
+            self.world.ledger, self.world.registry, self.world.actor(name),
+            identity.fingerprint_from_text(fingerprint)))
 
-    def _cmd_certify(self, line_no: int, args: list[str]) -> Outcome:
-        certifier, subject = (self.world.actor(a) for a in args)
-        return self._submit(lambda: identity.certify(
-            self.world.ledger, self.world.registry, certifier, subject.public))
+    def _cmd_certify(self, certifier: str, subject: str, action: Any = identity.certify) -> Outcome:
+        world = self.world
+        return self._outcome(action(
+            world.ledger, world.registry, world.actor(certifier), world.actor(subject).public))
 
-    def _cmd_decertify(self, line_no: int, args: list[str]) -> Outcome:
-        certifier, subject = (self.world.actor(a) for a in args)
-        return self._submit(lambda: identity.decertify(
-            self.world.ledger, self.world.registry, certifier, subject.public))
+    def _cmd_decertify(self, certifier: str, subject: str) -> Outcome:
+        return self._cmd_certify(certifier, subject, identity.decertify)
 
-    def _cmd_ceremony(self, line_no: int, args: list[str]) -> Outcome:
-        customer, institution, account = args
+    def _cmd_ceremony(self, customer: str, institution: str, account: str) -> Outcome:
         handle = self.world.ceremony(customer, institution, account)
         return Outcome(kind="accept",
                        detail=f"shared={handle.customer_view.shared_data.public.short_id()}")
 
-    def _cmd_open(self, line_no: int, args: list[str]) -> Outcome:
-        args, by = self._split_by(args)
-        account, expiration = args
-        handle = self.world.account(account)
-        caller = self._caller_spec(by) if by else handle.institution_view.institution
+    def _cmd_open(self, handle: AccountHandle, expiration: int,
+                  by: Optional[crypto.KeyPair] = None) -> Outcome:
+        ledger = self.world.ledger
+        try:
+            handle.address = accounts.create_account(
+                ledger, by or handle.institution_view.institution,
+                handle.customer_view.customer.public,
+                handle.institution_view.institution.public, expiration)
+        except ConstructorRejected as exc:
+            return Outcome(kind="reject", detail=exc.reason)
+        return Outcome(kind="accept", detail=f"block={ledger.creation_block(handle.address)} "
+                                             f"addr={handle.address.short()}")
+
+    def _cmd_commit(self, handle: AccountHandle, by: Optional[crypto.KeyPair] = None) -> Outcome:
+        return self._outcome(accounts.commit_account(
+            self.world.ledger, by or handle.institution_view.institution,
+            self.world.actor(handle.institution), handle.address,
+            self.world.actor(handle.customer).public))
+
+    def _cmd_append(self, customer: str, predecessor: AccountHandle | str,
+                    handle: AccountHandle, by: Optional[crypto.KeyPair] = None) -> Outcome:
         world = self.world
-
-        def deploy() -> CallReceipt:
-            address = accounts.create_account(
-                world.ledger, caller, handle.customer_view.customer.public,
-                handle.institution_view.institution.public, int(expiration))
-            handle.address = address
-            return CallReceipt(accepted=True, reason=None,
-                               block=world.ledger.creation_block(address),
-                               seq=0, created=(address,))
-
-        outcome = self._submit(deploy)
-        if outcome.kind == "accept" and handle.address is not None:
-            outcome = Outcome(kind="accept",
-                              detail=f"{outcome.detail} addr={handle.address.short()}")
-        return outcome
-
-    def _cmd_commit(self, line_no: int, args: list[str]) -> Outcome:
-        args, by = self._split_by(args)
-        (account,) = args
-        handle = self.world.account(account)
-        if handle.address is None:
-            raise ValueError(f"account {account!r} not yet opened")
-        caller = self._caller_spec(by) if by else handle.institution_view.institution
-        return self._submit(lambda: accounts.commit_account(
-            self.world.ledger, caller, self.world.actor(handle.institution),
-            handle.address, self.world.actor(handle.customer).public))
-
-    def _cmd_append(self, line_no: int, args: list[str]) -> Outcome:
-        args, by = self._split_by(args)
-        customer, predecessor_name, account = args
-        handle = self.world.account(account)
-        if handle.address is None:
-            raise ValueError(f"account {account!r} not yet opened")
-        world = self.world
-        if predecessor_name == "HEAD":
-            predecessor = None
-            caller = world.actor(customer)
-        else:
-            pred_handle = world.account(predecessor_name)
-            if pred_handle.address is None:
-                raise ValueError(f"account {predecessor_name!r} not yet opened")
-            predecessor = pred_handle.address
-            caller = pred_handle.customer_view.customer
-        if by:
-            caller = self._caller_spec(by)
-        nonce = world.link_nonce(account)
-        outcome = self._submit(lambda: accounts.append_to_chain(
-            world.ledger, caller, predecessor, handle.address,
+        if isinstance(predecessor, AccountHandle):
+            after, caller = predecessor.address, predecessor.customer_view.customer
+        else:  # HEAD
+            after, caller = None, world.actor(customer)
+        nonce = world.link_nonce(handle.name)
+        outcome = self._outcome(accounts.append_to_chain(
+            world.ledger, by or caller, after, handle.address,
             handle.customer_view.shared_pointer.public, nonce, registry=world.registry))
         if outcome.kind == "accept":
             handle.link_nonce = nonce
-            if predecessor_name == "HEAD":
-                world.head_of[customer] = account
+            if isinstance(predecessor, AccountHandle):
+                predecessor.next_name = handle.name
             else:
-                world.accounts[predecessor_name].next_name = account
+                world.head_of[customer] = handle.name
         return outcome
 
-    def _cmd_update(self, line_no: int, args: list[str]) -> Outcome:
-        args, by = self._split_by(args)
-        account, mode, data = args
+    def _cmd_update(self, handle: AccountHandle, mode: str, data: str,
+                    by: Optional[crypto.KeyPair] = None) -> Outcome:
         if mode == "external":  # scenario shorthand for the full mode tag
             mode = accounts.DATA_MODE_EXTERNAL
-        handle = self.world.account(account)
-        if handle.address is None:
-            raise ValueError(f"account {account!r} not yet opened")
-        caller = self._caller_spec(by) if by else handle.institution_view.institution
         plaintext = data.encode("utf-8")
         world = self.world
-        nonce = world.data_nonce(account, handle.update_count)
-        outcome = self._submit(lambda: accounts.update_account_data(
-            world.ledger, caller, handle.address, plaintext, mode,
-            handle.institution_view.shared_data.public, nonce, blob_store=world.blobs))
+        nonce = world.data_nonce(handle.name, handle.update_count)
+        outcome = self._outcome(accounts.update_account_data(
+            world.ledger, by or handle.institution_view.institution, handle.address,
+            plaintext, mode, handle.institution_view.shared_data.public, nonce,
+            blob_store=world.blobs))
         if outcome.kind == "accept":
             handle.update_count += 1
             handle.latest_payload = accounts.encode_data_payload(mode, plaintext, world.blobs)
@@ -515,126 +556,62 @@ class _Runner:
             handle.latest_mode = mode
         return outcome
 
-    def _party_key(self, handle: AccountHandle, party: str) -> crypto.KeyPair:
-        if party == "customer":
-            return handle.customer_view.customer
-        if party == "institution":
-            return handle.institution_view.institution
-        return self.world.actor(party)
+    def _cmd_propose_exp(self, handle: AccountHandle, party: str, value: int,
+                         action: Any = accounts.propose_expiration) -> Outcome:
+        caller = (_role_key(handle, party) if party in ("customer", "institution")
+                  else self.world.actor(party))
+        return self._outcome(action(self.world.ledger, caller, handle.address, value))
 
-    def _cmd_propose_exp(self, line_no: int, args: list[str]) -> Outcome:
-        account, party, value = args
-        handle = self.world.account(account)
-        if handle.address is None:
-            raise ValueError(f"account {account!r} not yet opened")
-        caller = self._party_key(handle, party)
-        return self._submit(lambda: accounts.propose_expiration(
-            self.world.ledger, caller, handle.address, int(value)))
+    def _cmd_accept_exp(self, handle: AccountHandle, party: str, value: int) -> Outcome:
+        return self._cmd_propose_exp(handle, party, value, accounts.accept_expiration)
 
-    def _cmd_accept_exp(self, line_no: int, args: list[str]) -> Outcome:
-        account, party, value = args
-        handle = self.world.account(account)
-        if handle.address is None:
-            raise ValueError(f"account {account!r} not yet opened")
-        caller = self._party_key(handle, party)
-        return self._submit(lambda: accounts.accept_expiration(
-            self.world.ledger, caller, handle.address, int(value)))
-
-    def _cmd_mint(self, line_no: int, args: list[str]) -> Outcome:
-        author, record = args
-        if record in self.world.records:
-            raise ValueError(f"record {record!r} already exists")
-        pair = self.world.actor(author)
+    def _cmd_mint(self, author: str, record: str) -> Outcome:
         world = self.world
+        if record in world.records:
+            raise ValueError(f"record {record!r} already exists")
+        address = public_records.mint_record(world.ledger, world.factory, world.actor(author))
+        world.records[record] = RecordHandle(name=record, author=author, address=address)
+        return Outcome(kind="accept", detail=f"addr={address.short()}")
 
-        def mint() -> CallReceipt:
-            address = public_records.mint_record(world.ledger, world.factory, pair)
-            world.records[record] = RecordHandle(name=record, author=author, address=address)
-            return CallReceipt(accepted=True, reason=None,
-                               block=world.ledger.creation_block(address), seq=0)
-
-        outcome = self._submit(mint)
-        if outcome.kind == "accept":
-            outcome = Outcome(kind="accept",
-                              detail=f"addr={world.records[record].address.short()}")
-        return outcome
-
-    def _cmd_fill(self, line_no: int, args: list[str]) -> Outcome:
-        args, by = self._split_by(args)
-        if len(args) == 3 and args[1] == public_records.RECORD_PLAINTEXT:
-            record_name, mode, data = args
-            subject = None
-        elif len(args) == 4 and args[1] == public_records.RECORD_ENCRYPTED:
-            record_name, mode, subject, data = args
-        else:
-            raise ValueError("FILL <record> plaintext <data> | FILL <record> encrypted <subject> <data>")
-        handle = self.world.records[record_name]
-        caller = self._caller_spec(by) if by else self.world.actor(handle.author)
-        plaintext = data.encode("utf-8")
-        nonce = self.world.record_nonce(record_name) if subject else None
-        owner = self.world.actor(subject).public if subject else None
-        outcome = self._submit(lambda: public_records.fill_record(
-            self.world.ledger, caller, handle.address, plaintext, mode,
+    def _cmd_fill(self, handle: RecordHandle, mode: str, *words: str,
+                  by: Optional[crypto.KeyPair] = None) -> Outcome:
+        world = self.world
+        subject = words[0] if mode == public_records.RECORD_ENCRYPTED else None
+        plaintext = words[-1].encode("utf-8")
+        nonce = world.record_nonce(handle.name) if subject else None
+        owner = world.actor(subject).public if subject else None
+        outcome = self._outcome(public_records.fill_record(
+            world.ledger, by or world.actor(handle.author), handle.address, plaintext, mode,
             owner_key=owner, nonce=nonce))
         if outcome.kind == "accept":
             handle.mode, handle.plaintext, handle.nonce, handle.subject = \
                 mode, plaintext, nonce, subject
         return outcome
 
-    def _cmd_link(self, line_no: int, args: list[str]) -> Outcome:
-        args, by = self._split_by(args)
-        record_name, where, anchor = args
-        handle = self.world.records[record_name]
+    def _cmd_link(self, handle: RecordHandle, where: str, anchor: str | RecordHandle,
+                  by: Optional[crypto.KeyPair] = None) -> Outcome:
         world = self.world
-        if where == "HEAD":
-            caller = self._caller_spec(by) if by else world.actor(anchor)
-            return self._submit(lambda: identity.set_first_public_record(
-                world.ledger, world.registry, caller, handle.address))
-        if where == "AFTER":
-            predecessor = world.records[anchor]
-            caller = self._caller_spec(by) if by else world.actor(handle.author)
-            return self._submit(lambda: public_records.append_record(
-                world.ledger, caller, predecessor.address, handle.address))
-        raise ValueError("LINK <record> HEAD <subject> | LINK <record> AFTER <record>")
+        if isinstance(anchor, RecordHandle):  # AFTER
+            return self._outcome(public_records.append_record(
+                world.ledger, by or world.actor(handle.author), anchor.address, handle.address))
+        return self._outcome(identity.set_first_public_record(
+            world.ledger, world.registry, by or world.actor(anchor), handle.address))
 
-    def _cmd_disclose(self, line_no: int, args: list[str]) -> Outcome:
-        if len(args) < 2:
-            raise ValueError("DISCLOSE <customer> keys|plaintext [WINDOW <from> <to>] "
-                             "[UPTO <count>] [WITHHOLD <account>...]")
-        customer, variant, *rest = args
-        window: Optional[tuple[int, int]] = None
-        withhold: frozenset[str] = frozenset()
-        upto: Optional[int] = None
-        i = 0
-        while i < len(rest):
-            keyword = rest[i]
-            if keyword == "WINDOW":
-                lo, hi = rest[i + 1:i + 3]
-                window = (_uint(lo, 64), _uint(hi, 64))
-                i += 3
-            elif keyword == "UPTO":
-                (count,) = rest[i + 1:i + 2]
-                upto = _uint(count, 32)
-                i += 2
-            elif keyword == "WITHHOLD":
-                withhold = frozenset(rest[i + 1:])
-                i = len(rest)
-            else:
-                raise ValueError(f"unknown DISCLOSE option {keyword!r}")
+    def _cmd_disclose(self, customer: str, variant: str,
+                      window: Optional[tuple[int, int]] = None, upto: tuple[int, ...] = (),
+                      withhold: tuple[AccountHandle, ...] = ()) -> Outcome:
         world = self.world
         bundle = world.build_bundle(customer, variant, window=window,
-                                    withhold=withhold, upto=upto)
+                                    withhold=frozenset(h.name for h in withhold),
+                                    upto=upto[0] if upto else None)
         try:
             report = reader.assemble_report(world.ledger, world.registry, bundle,
                                             world.trust_set(), blob_store=world.blobs)
         except reader.IncompleteDisclosure as exc:
             report = exc.report
-        except (reader.ChainMismatch, reader.CommitmentInvalid, identity.UnknownIdentity) as exc:
-            raise DisclosureRefused(line_no, f"{type(exc).__name__}: {exc}") from exc
         lines = reader.render_report(report)
-        detail = lines[-1]
         body = "".join(f"\n      | {line}" for line in lines[:-1])
-        return Outcome(kind="report", detail=detail + body, report=report)
+        return Outcome(kind="report", detail=lines[-1] + body, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +620,12 @@ class _Runner:
 
 
 def audit_replay(world: SimWorld) -> None:
-    """The exported history must rebuild to identical per-contract digests."""
-    replayed = Ledger.replay(world.ledger.export())
-    if replayed.state_digests() != world.ledger.state_digests():
-        raise AuditFailure("replay diverged from the live ledger")
-    if replayed.height != world.ledger.height:
-        raise AuditFailure("replay ended at a different height")
+    """The exported history must rebuild to the live per-contract digests and
+    height, which the export's footer carries and replay checks."""
+    try:
+        Ledger.replay(world.ledger.export())
+    except ReplayMismatch as exc:
+        raise AuditFailure(f"replay diverged from the live ledger: {exc}") from exc
 
 
 def audit_write_once(world: SimWorld) -> None:

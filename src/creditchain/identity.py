@@ -47,11 +47,17 @@ class IdentityRecord:
 
 @dataclass(frozen=True)
 class IdentityState:
-    """records: key -> record, in registration order.
-    fingerprint_index: inverse map, each entry in registration order."""
+    """records: key -> record, in registration order."""
 
     records: dict[bytes, IdentityRecord]
-    fingerprint_index: dict[bytes, tuple[bytes, ...]]
+
+    @property
+    def fingerprint_index(self) -> dict[bytes, tuple[bytes, ...]]:
+        """Fingerprint -> keys registered under it, each in registration order."""
+        index: dict[bytes, tuple[bytes, ...]] = {}
+        for key, record in self.records.items():
+            index[record.fingerprint] = index.get(record.fingerprint, ()) + (key,)
+        return index
 
 
 @register_contract
@@ -60,7 +66,7 @@ class IdentityContract:
 
     @staticmethod
     def construct(ctx: CallContext, args: bytes) -> IdentityState:
-        return IdentityState(records={}, fingerprint_index={})
+        return IdentityState(records={})
 
     @staticmethod
     def apply(state: IdentityState, ctx: CallContext, function: str, args: bytes) -> IdentityState:
@@ -100,9 +106,7 @@ def _register(state: IdentityState, ctx: CallContext, fingerprint: bytes) -> Ide
         raise ContractRejected("KeyAlreadyRegistered")
     records = dict(state.records)
     records[ctx.caller] = IdentityRecord(key=ctx.caller, fingerprint=fingerprint)
-    index = dict(state.fingerprint_index)
-    index[fingerprint] = index.get(fingerprint, ()) + (ctx.caller,)
-    return IdentityState(records=records, fingerprint_index=index)
+    return IdentityState(records=records)
 
 
 def _subject_record(state: IdentityState, args: bytes) -> IdentityRecord:
@@ -119,7 +123,7 @@ def _subject_record(state: IdentityState, args: bytes) -> IdentityRecord:
 def _replace_record(state: IdentityState, record: IdentityRecord) -> IdentityState:
     records = dict(state.records)
     records[record.key] = record
-    return IdentityState(records=records, fingerprint_index=state.fingerprint_index)
+    return IdentityState(records=records)
 
 
 def _with_certificates(record: IdentityRecord, certificates: tuple[bytes, ...]) -> IdentityRecord:

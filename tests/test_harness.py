@@ -1,5 +1,6 @@
 """Scenario DSL and audit sweeps."""
 
+import dataclasses
 import shlex
 from pathlib import Path
 
@@ -125,14 +126,34 @@ OUT_OF_WIDTH = [
     "DISCLOSE ana keys WINDOW 0 18446744073709551616",
     "DISCLOSE ana keys UPTO -1",
 ]
+# Inputs that once ran because their command never looked at one word: an
+# unknown variant with no accounts to disclose, an extra word after an
+# expectation, a withheld account that does not exist, the customer of an
+# append after another account, the subject of a LINK HEAD that names its
+# caller, and an empty caller.
+IGNORED_WORDS = [
+    "DISCLOSE bank frob",
+    "EXPECT ACCEPT junk",
+    "DISCLOSE ana keys WITHHOLD nosuch",
+    "APPEND nobody acct acct",
+    "MINT ana rec\nLINK rec HEAD nobody BY ana",
+    "OPEN acct2 300 BY ''",
+]
 
 
-@pytest.mark.parametrize("line", MISSING_ARGUMENTS + OUT_OF_WIDTH)
+@pytest.mark.parametrize("line", MISSING_ARGUMENTS + OUT_OF_WIDTH + IGNORED_WORDS)
 def test_malformed_arguments_are_parse_errors(line):
     text = MINI + "CEREMONY ana bank acct2\n" + line + "\n"
     with pytest.raises(ParseError) as err:
         run_scenario(text)
     assert err.value.line_no == len(text.splitlines())
+
+
+def test_a_usage_error_names_every_form_of_the_command():
+    with pytest.raises(ParseError) as err:
+        run_scenario(MINI + "LINK acct SIDEWAYS ana\n")
+    assert str(err.value).endswith(
+        "usage: LINK <record> HEAD <actor> [BY <caller>] | LINK <record> AFTER <record> [BY <caller>]")
 
 
 def test_largest_integers_that_fit_are_accepted():
@@ -230,6 +251,16 @@ def test_audits_pass_on_honest_world():
     world = run_scenario(MINI).world
     names = harness.run_all_audits(world)
     assert len(names) == 6
+
+
+def test_audit_replay_flags_live_state_that_left_its_log():
+    """A live state edited behind the ledger's back no longer rebuilds from
+    the log; the sweep reports that as an AuditFailure, not a ReplayMismatch."""
+    world = run_scenario(MINI).world
+    record = world.ledger._contracts[world.account("acct").address]
+    record.state = dataclasses.replace(record.state, expiration=record.state.expiration + 1)
+    with pytest.raises(AuditFailure, match="replay diverged"):
+        harness.audit_replay(world)
 
 
 def test_audit_write_once_flags_doctored_log(monkeypatch):

@@ -426,6 +426,19 @@ def test_scenario_exports_are_byte_stable(name):
     assert hashlib.sha256(export).hexdigest() == EXPORT_SHA256[name]
 
 
+# Transcripts are what a scenario run prints; they stay byte-identical too.
+TRANSCRIPT_SHA256 = {
+    "lifecycle.scn": "c4b5beb2b1af79852ae75f6076891e82e77e47443dd233990776c4fabdca6b57",
+    "rejections.scn": "67b2c8ade6229ae4f06185e7620590d01ce4b3799f342e7bf6491ea797a28d45",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPT_SHA256))
+def test_scenario_transcripts_are_byte_stable(name):
+    transcript = run_scenario((SCENARIO_DIR / name).read_text()).transcript
+    assert hashlib.sha256(transcript.encode("utf-8")).hexdigest() == TRANSCRIPT_SHA256[name]
+
+
 def test_transcripts_byte_identical_across_runs():
     text = LIFECYCLE.read_text()
     assert run_scenario(text).transcript == run_scenario(text).transcript
