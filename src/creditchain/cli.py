@@ -137,6 +137,12 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
     if args.customer not in world.actors:
         print(f"no actor named {args.customer!r} in that scenario", file=sys.stderr)
         return 2
+    chain = world.chain_names(args.customer)
+    strangers = [repr(name) for name in dict.fromkeys(args.withhold) if name not in chain]
+    if strangers:
+        print(f"--withhold names no account in {args.customer}'s chain: {', '.join(strangers)}",
+              file=sys.stderr)
+        return 2
     window = tuple(args.window) if args.window else None
     bundle = world.build_bundle(args.customer, args.variant, window=window,
                                 withhold=frozenset(args.withhold))

@@ -11,6 +11,7 @@ width raises WidthError, a ValueError, rather than encoding truncated bytes.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from typing import Optional
 
 
@@ -62,6 +63,13 @@ def u64(value: int) -> bytes:
 def blob(data: bytes) -> bytes:
     """Length-prefixed byte string: u32 length followed by the raw bytes."""
     return _U32(len(data)) + data
+
+
+def write_blob(write: Callable[[bytes], object], data: bytes) -> None:
+    """Write ``blob(data)`` through ``write`` in two pieces, the prefix and
+    then ``data`` itself, so the prefixed copy ``blob`` makes is never built."""
+    write(_U32(len(data)))
+    write(data)
 
 
 def pack(*fields: bytes) -> bytes:

@@ -188,8 +188,11 @@ class SimWorld:
 
         ``withhold`` keeps named accounts' data closed (the chain link is
         still proven); ``upto`` truncates the bundle after that many entries
-        to exercise incomplete disclosures.
+        to exercise incomplete disclosures.  A variant other than "keys" or
+        "plaintext" raises ValueError, however long the chain is.
         """
+        if variant not in ("keys", "plaintext"):
+            raise ValueError(f"unknown disclosure variant {variant!r}")
         names = self.chain_names(customer)
         if upto is not None:
             names = names[:upto]
@@ -211,7 +214,7 @@ class SimWorld:
                     pointer_key=handle.customer_view.shared_pointer.private,
                     data_key=handle.customer_view.shared_data.private if open_data else None,
                 ))
-            elif variant == "plaintext":
+            else:
                 nxt = self.accounts[handle.next_name] if handle.next_name else None
                 disclose_data = open_data and handle.latest_payload is not None
                 entries.append(reader.PlaintextDisclosure(
@@ -226,8 +229,6 @@ class SimWorld:
                     data_public_key=(handle.customer_view.shared_data.public
                                      if disclose_data else None),
                 ))
-            else:
-                raise ValueError(f"unknown disclosure variant {variant!r}")
         return reader.DisclosureBundle(identity=self.actor(customer).public,
                                        entries=tuple(entries), head_nonce=head_nonce,
                                        window=window)

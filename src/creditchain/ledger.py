@@ -42,10 +42,19 @@ deployer key and the global transaction sequence number, signatures are
 deterministic, and no transition may consult anything outside (state,
 transaction, height).  Re-executing an exported log therefore reproduces
 every contract state byte for byte, which ``replay`` verifies.
+
+Export and replay in bounded extra memory.  A reader trusts nothing but the
+export, so it replays the whole log before reading anything, and these two
+calls set the memory ceiling.  ``export`` writes every field straight into
+one buffer, a blob's length and then the bytes object the transaction
+already holds, so it builds no per-field copies.  Decoding an export shares
+repeated values: equal caller keys, target addresses and function names
+become one object each, which every replayed ``Transaction`` holds.
 """
 
 from __future__ import annotations
 
+import io
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
@@ -575,26 +584,32 @@ class Ledger:
         Layout: magic, version, final height, transaction count, one record
         per transaction (block, status, deploy flag, caller, target,
         function, args, signature), then a footer of per-contract state
-        digests for replay verification.
+        digests for replay verification.  Fields go straight into one
+        buffer, blobs through ``codec.write_blob``, so the only large
+        allocation is the export itself.
         """
-        out = [EXPORT_MAGIC, codec.u16(EXPORT_VERSION), codec.u64(self._height),
-               codec.u32(len(self._log))]
+        out = io.BytesIO()
+        write = out.write
+        write(EXPORT_MAGIC)
+        write(codec.u16(EXPORT_VERSION))
+        write(codec.u64(self._height))
+        write(codec.u32(len(self._log)))
         for entry in self._log:
             tx = entry.tx
-            out.append(codec.u64(tx.block))
-            out.append(codec.u8(0 if entry.accepted else 1))
-            out.append(codec.u8(1 if tx.is_deploy() else 0))
-            out.append(codec.blob(tx.caller))
-            out.append(codec.blob(b"" if tx.target is None else tx.target.digest))
-            out.append(codec.blob(codec.text(tx.function)))
-            out.append(codec.blob(tx.args))
-            out.append(codec.blob(tx.signature))
+            write(codec.u64(tx.block))
+            write(codec.u8(0 if entry.accepted else 1))
+            write(codec.u8(1 if tx.is_deploy() else 0))
+            codec.write_blob(write, tx.caller)
+            codec.write_blob(write, b"" if tx.target is None else tx.target.digest)
+            codec.write_blob(write, codec.text(tx.function))
+            codec.write_blob(write, tx.args)
+            codec.write_blob(write, tx.signature)
         digests = self.state_digests()
-        out.append(codec.u32(len(digests)))
+        write(codec.u32(len(digests)))
         for address, d in digests.items():
-            out.append(codec.blob(address.digest))
-            out.append(codec.blob(d))
-        return b"".join(out)
+            codec.write_blob(write, address.digest)
+            codec.write_blob(write, d)
+        return out.getvalue()
 
     @classmethod
     def replay(cls, data: bytes) -> "Ledger":
@@ -603,7 +618,11 @@ class Ledger:
         Every transaction must reproduce its recorded accept/reject status
         and every contract its recorded state digest, else ReplayMismatch.
         Bytes that do not decode as an export raise ReplayMismatch too, so a
-        ledger this returns re-exports to exactly ``data``.
+        ledger this returns re-exports to exactly ``data``.  The whole export
+        is decoded before anything executes, and every signature is checked
+        again on ``submit``.  Transactions with equal caller keys, targets or
+        function names share one object for each, so the replayed log holds
+        each distinct value once.
         """
         try:
             final_height, records, footer = _decode_export(data)
@@ -659,6 +678,8 @@ def _decode_export(data: bytes) -> tuple[int, list[tuple[bool, Transaction]], li
     Accepts only the canonical encoding ``Ledger.export`` writes: flags are
     0 or 1 and a deployment has an empty target.  Layout errors raise
     ValueError (codec.DecodeError, including bad UTF-8, or a bad address).
+    Equal caller keys, target addresses and function names decode to one
+    shared object each, found through tables that live only for this call.
     """
     reader = codec.ByteReader(data)
     if reader.take(4) != EXPORT_MAGIC:
@@ -667,6 +688,9 @@ def _decode_export(data: bytes) -> tuple[int, list[tuple[bool, Transaction]], li
     if version != EXPORT_VERSION:
         raise ReplayMismatch(f"unsupported export version {version}")
     final_height = reader.u64()
+    callers: dict[bytes, bytes] = {}
+    targets: dict[bytes, Address] = {}
+    functions: dict[str, str] = {}
     records = []
     for i in range(reader.u32()):
         block = reader.u64()
@@ -679,9 +703,14 @@ def _decode_export(data: bytes) -> tuple[int, list[tuple[bool, Transaction]], li
         signature = reader.blob()
         if rejected > 1 or is_deploy > 1 or (is_deploy and target_raw):
             raise codec.DecodeError(f"transaction {i} has non-canonical flags")
-        target = None if is_deploy else Address(target_raw)
-        records.append((bool(rejected), Transaction(caller=caller, target=target, function=function,
-                                                    args=args, signature=signature, block=block)))
+        if is_deploy:
+            target = None
+        elif (target := targets.get(target_raw)) is None:
+            target = targets[target_raw] = Address(target_raw)
+        tx = Transaction(caller=callers.setdefault(caller, caller), target=target,
+                         function=functions.setdefault(function, function),
+                         args=args, signature=signature, block=block)
+        records.append((bool(rejected), tx))
     footer = [(reader.blob(), reader.blob()) for _ in range(reader.u32())]
     reader.expect_end()
     return final_height, records, footer

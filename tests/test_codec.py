@@ -36,6 +36,14 @@ def test_blob_prefix_is_exact_length(data):
     assert encoded[4:] == data
 
 
+@given(st.binary(max_size=300))
+def test_write_blob_writes_the_prefix_then_the_data_itself(data):
+    pieces = []
+    codec.write_blob(pieces.append, data)
+    assert b"".join(pieces) == codec.blob(data)
+    assert pieces[-1] is data
+
+
 def test_integer_widths():
     assert codec.u8(0xAB) == b"\xab"
     assert codec.u16(0x0102) == b"\x01\x02"

@@ -190,6 +190,14 @@ def test_a_refused_disclosure_is_a_scenario_error():
     assert "UnknownIdentity" in str(err.value)
 
 
+@pytest.mark.parametrize("customer, chain", [("bank", []), ("ana", ["acct"])])
+def test_build_bundle_refuses_an_unknown_variant_whatever_the_chain(customer, chain):
+    world = run_scenario(MINI).world
+    assert world.chain_names(customer) == chain
+    with pytest.raises(ValueError, match="unknown disclosure variant 'frob'"):
+        world.build_bundle(customer, "frob")
+
+
 def _mutations(text, rng):
     """One token of one command line deleted, replaced, or inserted, or the
     line cut short, with replacement tokens drawn from the scenario itself

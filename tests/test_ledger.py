@@ -4,6 +4,7 @@ domain contracts layered on top."""
 
 import functools
 import time
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import pytest
@@ -469,6 +470,41 @@ def test_replay_rejects_reordered_state_footer():
     last, second_last = data[-entry:], data[-2 * entry:-entry]
     with pytest.raises(ReplayMismatch):
         Ledger.replay(data[:-2 * entry] + last + second_last)
+
+
+@pytest.fixture(scope="module")
+def long_ledger():
+    """3000 transactions from three keys on three contracts, rejections too."""
+    led = Ledger()
+    keys = [crypto.generate_keypair(b"long-%d" % i) for i in range(3)]
+    targets = [deploy_probe(led, key) for key in keys]
+    for i in range(len(led.log), 3000):
+        led.call(keys[i % 3], targets[i % 2], "set" if i % 5 else "frobnicate", b"%d" % i)
+    return led
+
+
+def test_export_peaks_at_about_its_own_size(long_ledger):
+    data = long_ledger.export()  # warm any lazily built state first
+    tracemalloc.start()
+    try:
+        again = long_ledger.export()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == data
+    # one buffer holds the export; per-field copies took it past 6x
+    assert peak < 3 * len(data), (peak, len(data))
+
+
+def test_replay_shares_equal_callers_targets_and_functions(long_ledger):
+    replayed = Ledger.replay(long_ledger.export())
+    txs = [entry.tx for entry in replayed.log]
+    for field in ("caller", "target", "function"):
+        first: dict = {}
+        for tx in txs:
+            value = getattr(tx, field)
+            assert value is first.setdefault(value, value), field
+        assert len(first) <= 4 < len(txs)
 
 
 # -- implicit blocks -------------------------------------------------------------

@@ -380,6 +380,18 @@ def test_disclose_unknown_customer(capsys, tmp_path):
     assert "no actor" in err
 
 
+def test_disclose_refuses_to_withhold_an_account_outside_the_chain(capsys, tmp_path):
+    outputs = [tmp_path / name for name in ("l", "b", "t")]
+    code, out, err = run_cli(capsys, "disclose", LIFECYCLE, "alice",
+                             "--withhold", "a-acct2", "nosuch", "b-acct1",
+                             "--ledger-out", outputs[0], "--bundle-out", outputs[1],
+                             "--trust-out", outputs[2])
+    assert code == 2
+    assert out == ""
+    assert err == "--withhold names no account in alice's chain: 'nosuch', 'b-acct1'\n"
+    assert not any(path.exists() for path in outputs)
+
+
 def test_export_and_replay(capsys, tmp_path):
     out_file = tmp_path / "exported.bin"
     code, out, _ = run_cli(capsys, "export-ledger", out_file, "--scenario", LIFECYCLE)
