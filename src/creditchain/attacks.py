@@ -121,14 +121,8 @@ def _rng(seed: bytes, suite: str) -> random.Random:
 
 def _list_shape(led: Ledger, registry: Address, subject: crypto.PublicKey) -> tuple[bytes, ...]:
     """Addresses along a subject's public-record list, for before/after diffs."""
-    state = led.read_state(registry)
-    record = state.records[subject.to_bytes()]
-    shape = []
-    cursor = record.first_public_record
-    while cursor is not None:
-        shape.append(cursor)
-        cursor = led.read_state(Address(cursor)).next_record
-    return tuple(shape)
+    first = led.read_state(registry).records[subject.to_bytes()].first_public_record
+    return tuple(address.digest for address, _ in public_records.walk_public_records(led, first))
 
 
 # ---------------------------------------------------------------------------
@@ -459,29 +453,13 @@ def unauthorized_read(seed: bytes = b"attack-read") -> AttackReport:
     victim = world.actor("victim")
 
     # victim's chain: two accounts at two institutions, with data
+    predecessor = None
     for i, inst in enumerate(("bank", "rival")):
         handle = world.ceremony("victim", inst, f"acct{i + 1}")
-        handle.address = accounts.create_account(
-            led, handle.institution_view.institution,
-            handle.customer_view.customer.public,
-            handle.institution_view.institution.public, 10_000)
-        nonce = world.link_nonce(handle.name)
-        predecessor = None if i == 0 else world.accounts["acct1"].address
-        accounts.append_to_chain(led, victim if i == 0 else
-                                 world.accounts["acct1"].customer_view.customer,
-                                 predecessor, handle.address,
-                                 handle.customer_view.shared_pointer.public, nonce,
-                                 registry=registry)
-        handle.link_nonce = nonce
-        if i == 0:
-            world.head_of["victim"] = handle.name
-        else:
-            world.accounts["acct1"].next_name = handle.name
-        accounts.update_account_data(led, handle.institution_view.institution,
-                                     handle.address, f"balance {i}".encode(), "inline",
-                                     handle.institution_view.shared_data.public,
-                                     world.data_nonce(handle.name, 0))
-        handle.update_count = 1
+        world.open_account(handle, 10_000)
+        world.link_account("victim", predecessor, handle)
+        world.update_account(handle, accounts.DATA_MODE_INLINE, f"balance {i}".encode())
+        predecessor = handle
 
     acct1, acct2 = world.accounts["acct1"], world.accounts["acct2"]
     head_ct = led.read_state(registry).records[victim.public.to_bytes()].first_credit_account
@@ -630,5 +608,5 @@ def run_suite(name: str, **kwargs) -> AttackReport:
     return suite(**kwargs)
 
 
-def run_all(**kwargs) -> list[AttackReport]:
+def run_all() -> list[AttackReport]:
     return [suite() for suite in SUITES.values()]

@@ -25,6 +25,26 @@ from .ledger import Ledger, ReplayMismatch
 MAX_ATTEMPTS = 10_000
 
 
+class _Failed(Exception):
+    """Ends a command with exit code 1; the reason is already printed."""
+
+
+def _run_scenario(path: Path) -> harness.ScenarioResult:
+    try:
+        return harness.run_scenario_file(path)
+    except harness.ScenarioError as exc:
+        print(f"scenario failed: {exc}", file=sys.stderr)
+        raise _Failed from exc
+
+
+def _replay(path: Path) -> Ledger:
+    try:
+        return Ledger.replay(path.read_bytes())
+    except ReplayMismatch as exc:
+        print(f"REPLAY FAILED: {exc}", file=sys.stderr)
+        raise _Failed from exc
+
+
 def _attempts(text: str) -> int:
     """``--attempts``: an integer in 1..MAX_ATTEMPTS, since the fuzzing
     suites loop that many times."""
@@ -88,11 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        result = harness.run_scenario_file(args.scenario)
-    except harness.ScenarioError as exc:
-        print(f"scenario failed: {exc}", file=sys.stderr)
-        return 1
+    result = _run_scenario(args.scenario)
     if not args.quiet:
         print(result.transcript, end="")
     if not args.no_audit:
@@ -128,12 +144,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_disclose(args: argparse.Namespace) -> int:
-    try:
-        result = harness.run_scenario_file(args.scenario)
-    except harness.ScenarioError as exc:
-        print(f"scenario failed: {exc}", file=sys.stderr)
-        return 1
-    world = result.world
+    world = _run_scenario(args.scenario).world
     if args.customer not in world.actors:
         print(f"no actor named {args.customer!r} in that scenario", file=sys.stderr)
         return 2
@@ -155,11 +166,7 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        led = Ledger.replay(args.ledger.read_bytes())
-    except ReplayMismatch as exc:
-        print(f"REPLAY FAILED: {exc}", file=sys.stderr)
-        return 1
+    led = _replay(args.ledger)
     try:
         bundle = reader.bundle_from_json(args.bundle.read_text(encoding="utf-8"))
         trust = reader.trust_from_json(args.trust.read_text(encoding="utf-8"))
@@ -217,23 +224,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    try:
-        result = harness.run_scenario_file(args.scenario)
-    except harness.ScenarioError as exc:
-        print(f"scenario failed: {exc}", file=sys.stderr)
-        return 1
-    args.out.write_bytes(result.world.ledger.export())
-    print(f"ledger written to {args.out} (height {result.world.ledger.height})")
+    ledger = _run_scenario(args.scenario).world.ledger
+    args.out.write_bytes(ledger.export())
+    print(f"ledger written to {args.out} (height {ledger.height})")
     return 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    data = args.ledger.read_bytes()
-    try:
-        led = Ledger.replay(data)
-    except ReplayMismatch as exc:
-        print(f"REPLAY FAILED: {exc}", file=sys.stderr)
-        return 1
+    led = _replay(args.ledger)
     kinds: dict[str, int] = {}
     for address in led.addresses():
         kind = led.contract_kind(address)
@@ -257,6 +255,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except _Failed:
+        return 1
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 1

@@ -3,9 +3,11 @@
 ``SimWorld`` plays every party at once — it deploys the registry and record
 factory at genesis, mints actor keys from name-derived seeds, and tracks the
 off-chain knowledge each party would hold (account key views, nonces, data
-plaintexts) so later steps can disclose or audit without re-deriving
-anything.  Two worlds built from the same seed and the same steps are
-byte-identical, ledger exports included.
+payloads) so later steps can disclose or audit without re-deriving
+anything.  Its step methods (``open_account`` … ``fill_record``) are where
+that knowledge is written: each runs one protocol call and records what the
+parties learn once the ledger accepts it.  Two worlds built from the same
+seed and the same steps are byte-identical, ledger exports included.
 
 Scenario files drive the world through newline-separated commands::
 
@@ -87,8 +89,6 @@ class AccountHandle:
     next_name: Optional[str] = None
     update_count: int = 0
     latest_payload: Optional[bytes] = None  # protocol payload bytes (pre-encryption)
-    latest_plaintext: Optional[bytes] = None
-    latest_mode: Optional[str] = None
 
 
 @dataclass
@@ -96,10 +96,7 @@ class RecordHandle:
     name: str
     author: str
     address: Address
-    mode: Optional[str] = None
-    plaintext: Optional[bytes] = None
-    nonce: Optional[bytes] = None
-    subject: Optional[str] = None  # encrypted records: whose key it is under
+    plaintext: Optional[bytes] = None  # as last filed, before any encryption
 
 
 class SimWorld:
@@ -167,6 +164,74 @@ class SimWorld:
     def trust_set(self) -> set[crypto.PublicKey]:
         """Scenario policy: a reader trusts every named actor's identity."""
         return {pair.public for pair in self.actors.values()}
+
+    # -- protocol steps that change what a party knows -----------------------
+    #
+    # Each calls its protocol wrapper and, once the ledger accepts, records
+    # on the handles what the parties now know; a rejection records nothing.
+    # ``by`` signs in place of the party the protocol expects.
+
+    def open_account(self, handle: AccountHandle, expiration: int,
+                     by: Optional[crypto.KeyPair] = None) -> Address:
+        """Deploy the account as its institution.  Raises ConstructorRejected."""
+        handle.address = accounts.create_account(
+            self.ledger, by or handle.institution_view.institution,
+            handle.customer_view.customer.public,
+            handle.institution_view.institution.public, expiration)
+        return handle.address
+
+    def link_account(self, customer: str, predecessor: Optional[AccountHandle],
+                     handle: AccountHandle, by: Optional[crypto.KeyPair] = None) -> CallReceipt:
+        """Link ``handle`` after ``predecessor``, or at ``customer``'s head
+        when there is none, signed by whoever holds the link being written."""
+        if predecessor is None:
+            after, caller = None, self.actor(customer)
+        else:
+            after, caller = predecessor.address, predecessor.customer_view.customer
+        nonce = self.link_nonce(handle.name)
+        receipt = accounts.append_to_chain(
+            self.ledger, by or caller, after, handle.address,
+            handle.customer_view.shared_pointer.public, nonce, registry=self.registry)
+        if receipt.accepted:
+            handle.link_nonce = nonce
+            if predecessor is None:
+                self.head_of[customer] = handle.name
+            else:
+                predecessor.next_name = handle.name
+        return receipt
+
+    def update_account(self, handle: AccountHandle, mode: str, plaintext: bytes,
+                       by: Optional[crypto.KeyPair] = None) -> CallReceipt:
+        """Store new account data as its institution, under the next data nonce."""
+        receipt = accounts.update_account_data(
+            self.ledger, by or handle.institution_view.institution, handle.address,
+            plaintext, mode, handle.institution_view.shared_data.public,
+            self.data_nonce(handle.name, handle.update_count), blob_store=self.blobs)
+        if receipt.accepted:
+            handle.update_count += 1
+            handle.latest_payload = accounts.encode_data_payload(mode, plaintext, self.blobs)
+        return receipt
+
+    def mint_record(self, author: str, record: str) -> Address:
+        """Mint a record from the world's factory; minting is never refused."""
+        if record in self.records:
+            raise ValueError(f"record {record!r} already exists")
+        address = public_records.mint_record(self.ledger, self.factory, self.actor(author))
+        self.records[record] = RecordHandle(name=record, author=author, address=address)
+        return address
+
+    def fill_record(self, handle: RecordHandle, mode: str, plaintext: bytes,
+                    subject: Optional[str] = None,
+                    by: Optional[crypto.KeyPair] = None) -> CallReceipt:
+        """Write a record's content as its author; an encrypted record is
+        sealed to ``subject``'s identity key under the record's nonce."""
+        receipt = public_records.fill_record(
+            self.ledger, by or self.actor(handle.author), handle.address, plaintext, mode,
+            owner_key=self.actor(subject).public if subject else None,
+            nonce=self.record_nonce(handle.name) if subject else None)
+        if receipt.accepted:
+            handle.plaintext = plaintext
+        return receipt
 
     # -- chain bookkeeping ----------------------------------------------
 
@@ -503,16 +568,12 @@ class _Runner:
 
     def _cmd_open(self, handle: AccountHandle, expiration: int,
                   by: Optional[crypto.KeyPair] = None) -> Outcome:
-        ledger = self.world.ledger
         try:
-            handle.address = accounts.create_account(
-                ledger, by or handle.institution_view.institution,
-                handle.customer_view.customer.public,
-                handle.institution_view.institution.public, expiration)
+            address = self.world.open_account(handle, expiration, by)
         except ConstructorRejected as exc:
             return Outcome(kind="reject", detail=exc.reason)
-        return Outcome(kind="accept", detail=f"block={ledger.creation_block(handle.address)} "
-                                             f"addr={handle.address.short()}")
+        return Outcome(kind="accept", detail=f"block={self.world.ledger.creation_block(address)} "
+                                             f"addr={address.short()}")
 
     def _cmd_commit(self, handle: AccountHandle, by: Optional[crypto.KeyPair] = None) -> Outcome:
         return self._outcome(accounts.commit_account(
@@ -522,40 +583,14 @@ class _Runner:
 
     def _cmd_append(self, customer: str, predecessor: AccountHandle | str,
                     handle: AccountHandle, by: Optional[crypto.KeyPair] = None) -> Outcome:
-        world = self.world
-        if isinstance(predecessor, AccountHandle):
-            after, caller = predecessor.address, predecessor.customer_view.customer
-        else:  # HEAD
-            after, caller = None, world.actor(customer)
-        nonce = world.link_nonce(handle.name)
-        outcome = self._outcome(accounts.append_to_chain(
-            world.ledger, by or caller, after, handle.address,
-            handle.customer_view.shared_pointer.public, nonce, registry=world.registry))
-        if outcome.kind == "accept":
-            handle.link_nonce = nonce
-            if isinstance(predecessor, AccountHandle):
-                predecessor.next_name = handle.name
-            else:
-                world.head_of[customer] = handle.name
-        return outcome
+        after = predecessor if isinstance(predecessor, AccountHandle) else None  # None: HEAD
+        return self._outcome(self.world.link_account(customer, after, handle, by))
 
     def _cmd_update(self, handle: AccountHandle, mode: str, data: str,
                     by: Optional[crypto.KeyPair] = None) -> Outcome:
         if mode == "external":  # scenario shorthand for the full mode tag
             mode = accounts.DATA_MODE_EXTERNAL
-        plaintext = data.encode("utf-8")
-        world = self.world
-        nonce = world.data_nonce(handle.name, handle.update_count)
-        outcome = self._outcome(accounts.update_account_data(
-            world.ledger, by or handle.institution_view.institution, handle.address,
-            plaintext, mode, handle.institution_view.shared_data.public, nonce,
-            blob_store=world.blobs))
-        if outcome.kind == "accept":
-            handle.update_count += 1
-            handle.latest_payload = accounts.encode_data_payload(mode, plaintext, world.blobs)
-            handle.latest_plaintext = plaintext
-            handle.latest_mode = mode
-        return outcome
+        return self._outcome(self.world.update_account(handle, mode, data.encode("utf-8"), by))
 
     def _cmd_propose_exp(self, handle: AccountHandle, party: str, value: int,
                          action: Any = accounts.propose_expiration) -> Outcome:
@@ -567,27 +602,14 @@ class _Runner:
         return self._cmd_propose_exp(handle, party, value, accounts.accept_expiration)
 
     def _cmd_mint(self, author: str, record: str) -> Outcome:
-        world = self.world
-        if record in world.records:
-            raise ValueError(f"record {record!r} already exists")
-        address = public_records.mint_record(world.ledger, world.factory, world.actor(author))
-        world.records[record] = RecordHandle(name=record, author=author, address=address)
+        address = self.world.mint_record(author, record)
         return Outcome(kind="accept", detail=f"addr={address.short()}")
 
     def _cmd_fill(self, handle: RecordHandle, mode: str, *words: str,
                   by: Optional[crypto.KeyPair] = None) -> Outcome:
-        world = self.world
         subject = words[0] if mode == public_records.RECORD_ENCRYPTED else None
-        plaintext = words[-1].encode("utf-8")
-        nonce = world.record_nonce(handle.name) if subject else None
-        owner = world.actor(subject).public if subject else None
-        outcome = self._outcome(public_records.fill_record(
-            world.ledger, by or world.actor(handle.author), handle.address, plaintext, mode,
-            owner_key=owner, nonce=nonce))
-        if outcome.kind == "accept":
-            handle.mode, handle.plaintext, handle.nonce, handle.subject = \
-                mode, plaintext, nonce, subject
-        return outcome
+        return self._outcome(self.world.fill_record(
+            handle, mode, words[-1].encode("utf-8"), subject, by))
 
     def _cmd_link(self, handle: RecordHandle, where: str, anchor: str | RecordHandle,
                   by: Optional[crypto.KeyPair] = None) -> Outcome:
@@ -752,11 +774,11 @@ def observer_link_scan(world: SimWorld) -> None:
         raise AuditFailure("two pointer ciphertexts repeat — linkable on sight")
 
 
-def run_all_audits(world: SimWorld, strict_chains: bool = True) -> list[str]:
+def run_all_audits(world: SimWorld) -> list[str]:
     """Run every sweep; returns their names for reporting."""
     audit_replay(world)
     audit_write_once(world)
-    audit_chain_validity(world, strict=strict_chains)
+    audit_chain_validity(world)
     audit_true_identity_absence(world)
     audit_attribution(world)
     observer_link_scan(world)

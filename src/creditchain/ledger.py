@@ -148,7 +148,7 @@ def derive_address(deployer: bytes, seq: int, index: int = 0) -> Address:
     return Address(crypto.digest(codec.pack(b"address", deployer, codec.u64(seq), codec.u16(index))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A signed call or deployment.  ``target`` is None for deployments,
     in which case ``function`` names the contract kind to construct."""
@@ -216,9 +216,10 @@ class HistoryEntry:
     state: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
-    seq: int
+    """One logged transaction; its sequence number is its index in the log."""
+
     tx: Transaction
     accepted: bool
     reason: Optional[str]
@@ -256,8 +257,7 @@ def register_contract(cls: Any) -> Any:
 
 @dataclass
 class _ContractRecord:
-    kind: str
-    cls: Any
+    cls: Any  # the contract kind's class; ``cls.KIND`` names it
     state: Any
     created: int  # block of the deploying transaction
 
@@ -294,7 +294,7 @@ class CallContext:
         if record is None:
             return None
         state = self.staged.get(address, record.state)
-        return record.kind, state
+        return record.cls.KIND, state
 
     def stage(self, address: Address, new_state: Any) -> None:
         """Queue a state change for another contract touched by this call."""
@@ -365,7 +365,6 @@ class Ledger:
         self._contracts: dict[Address, _ContractRecord] = {}
         self._log: list[LogEntry] = []
         self._height = 0
-        self._tx_counts: dict[bytes, int] = {}
         # The transaction ``call``/``deploy`` are submitting, if any.
         self._own: Optional[Transaction] = None
 
@@ -403,9 +402,9 @@ class Ledger:
 
     def transaction_count(self, caller: crypto.PublicKey | bytes) -> int:
         """How many transactions a key has landed on the chain (the stand-in
-        for fees: rejected calls count too)."""
+        for fees: rejected calls count too), counted off the log."""
         raw = caller.to_bytes() if isinstance(caller, crypto.PublicKey) else caller
-        return self._tx_counts.get(raw, 0)
+        return sum(entry.tx.caller == raw for entry in self._log)
 
     # -- submission ---------------------------------------------------------
 
@@ -493,7 +492,7 @@ class Ledger:
                                 result=ctx.result, created=tuple(ctx.created))
         for address, (contract_cls, state) in ctx.created.items():
             self._contracts[address] = _ContractRecord(
-                kind=contract_cls.KIND, cls=contract_cls, state=state, created=receipt.block)
+                cls=contract_cls, state=state, created=receipt.block)
         if new_target_state is not None:
             self._commit(tx.target, new_target_state, tx, receipt.block)
         for address, state in ctx.staged.items():
@@ -507,10 +506,8 @@ class Ledger:
 
     def _include(self, tx: Transaction, seq: int, *, accepted: bool, reason: Optional[str],
                  result: Optional[bytes] = None, created: tuple[Address, ...] = ()) -> CallReceipt:
-        entry = LogEntry(seq=seq, tx=tx, accepted=accepted, reason=reason)
-        self._log.append(entry)
+        self._log.append(LogEntry(tx=tx, accepted=accepted, reason=reason))
         block = self._height
-        self._tx_counts[tx.caller] = self._tx_counts.get(tx.caller, 0) + 1
         # one transaction per block: seal immediately
         self._height += 1
         return CallReceipt(accepted=accepted, reason=reason, block=block, seq=seq,
@@ -522,7 +519,7 @@ class Ledger:
         return address in self._contracts
 
     def contract_kind(self, address: Address) -> str:
-        return self._record(address).kind
+        return self._record(address).cls.KIND
 
     def read_state(self, address: Address) -> Any:
         """Current state of a contract; no key material required.  Treat the
@@ -543,11 +540,11 @@ class Ledger:
         """
         self._record(address)  # UnknownAddress for a stranger
         scratch = _HistoryRecorder(address)
-        for entry in self._log:
+        for seq, entry in enumerate(self._log):
             if not entry.accepted:
                 continue
             scratch.advance_block(entry.tx.block - scratch.height)
-            receipt = scratch._execute(entry.tx, entry.seq, scratch._contracts.get(entry.tx.target))
+            receipt = scratch._execute(entry.tx, seq, scratch._contracts.get(entry.tx.target))
             if address in receipt.created:
                 scratch.entries.append(HistoryEntry(receipt.block, entry.tx,
                                                     scratch.read_state(address)))
@@ -560,7 +557,7 @@ class Ledger:
         return list(self._contracts)
 
     def contracts_by_kind(self, kind: str) -> list[Address]:
-        return [a for a, rec in self._contracts.items() if rec.kind == kind]
+        return [a for a, rec in self._contracts.items() if rec.cls.KIND == kind]
 
     def _record(self, address: Address) -> _ContractRecord:
         record = self._contracts.get(address)
@@ -570,7 +567,7 @@ class Ledger:
 
     def state_digest(self, address: Address) -> bytes:
         record = self._record(address)
-        return crypto.digest(codec.pack(b"state", codec.text(record.kind),
+        return crypto.digest(codec.pack(b"state", codec.text(record.cls.KIND),
                                         record.cls.encode_state(record.state)))
 
     def state_digests(self) -> dict[Address, bytes]:

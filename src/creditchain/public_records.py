@@ -25,6 +25,7 @@ trust its author.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -247,18 +248,31 @@ def append_record(led: Ledger, caller: crypto.KeyPair, tail: Address,
     return led.call(caller, tail, "append", new_record.digest)
 
 
-def find_list_tail(led: Ledger, head: Address) -> Address:
-    """Follow next pointers to the current end of a list (off-chain walk)."""
+def walk_public_records(led: Ledger, first: Optional[bytes]
+                        ) -> Iterator[tuple[Address, PublicRecordState]]:
+    """Yield (address, state) along a list from the record whose address
+    digest is ``first`` (None: an empty list), following next pointers
+    off-chain.  Raises BrokenChain on a cycle or a dangling pointer."""
     seen: set[bytes] = set()
-    address = head
-    while True:
-        if address.digest in seen:
-            raise BrokenChain(f"cycle through {address.hex}")
-        seen.add(address.digest)
-        state = led.read_state(address)
-        if state.next_record is None:
-            return address
-        address = Address(state.next_record)
+    cursor = first
+    while cursor is not None:
+        if cursor in seen:
+            raise BrokenChain(f"cycle through {cursor.hex()}")
+        seen.add(cursor)
+        address = Address(cursor)
+        if not led.exists(address) or led.contract_kind(address) != PublicRecordContract.KIND:
+            raise BrokenChain(f"dangling pointer to {address.hex}")
+        state: PublicRecordState = led.read_state(address)
+        yield address, state
+        cursor = state.next_record
+
+
+def find_list_tail(led: Ledger, head: Address) -> Address:
+    """The current end of the list that starts at ``head``."""
+    tail = head
+    for tail, _ in walk_public_records(led, head.digest):
+        pass
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -309,29 +323,15 @@ def traverse_public_records(
     if identity_record is None:
         raise UnknownIdentity(subject.short_id())
 
-    out: list[TraversedRecord] = []
-    seen: set[bytes] = set()
-    cursor = identity_record.first_public_record
-    while cursor is not None:
-        if cursor in seen:
-            raise BrokenChain("cycle in public-record list")
-        seen.add(cursor)
-        address = Address(cursor)
-        if not led.exists(address) or led.contract_kind(address) != PublicRecordContract.KIND:
-            raise BrokenChain(f"dangling pointer to {address.hex}")
-        state: PublicRecordState = led.read_state(address)
-        author = crypto.PublicKey.from_bytes(state.author_key)
-        out.append(_classify(led, address, state, author, subject, trust_set,
-                             disclosures, expected_factory))
-        cursor = state.next_record
-    return out
+    return [_classify(led, address, state, subject, trust_set, disclosures, expected_factory)
+            for address, state in walk_public_records(led, identity_record.first_public_record)]
 
 
 def _classify(led: Ledger, address: Address, state: PublicRecordState,
-              author: crypto.PublicKey, subject: crypto.PublicKey,
-              trust_set: set[crypto.PublicKey],
+              subject: crypto.PublicKey, trust_set: set[crypto.PublicKey],
               disclosures: dict[Address, RecordDisclosure],
               expected_factory: Optional[Address]) -> TraversedRecord:
+    author = crypto.PublicKey.from_bytes(state.author_key)
     creation = led.creation_block(address)
     trusted = author in trust_set
     if expected_factory is not None and state.parent_factory != expected_factory.digest:
