@@ -270,16 +270,20 @@ def append_to_chain(led: Ledger, owner: crypto.KeyPair, predecessor: Optional[Ad
 def update_account_data(led: Ledger, caller: crypto.KeyPair, account: Address,
                         plaintext: bytes, mode: str, data_key: crypto.PublicKey,
                         nonce: bytes, blob_store: Optional["BlobStore"] = None) -> CallReceipt:
-    """Encrypt and store the account's data field (institution side).
-
-    Inline mode carries the document itself; external-hash mode parks the
-    document in a blob store and carries only its digest plus locator.
-    Either way the on-chain bytes are ciphertext under the shared data key.
-    """
+    """Encode the account's data payload and store it (institution side).
+    Inline mode carries the document itself; external-hash mode parks it in
+    ``blob_store`` and carries only its digest plus locator."""
     payload = encode_data_payload(mode, plaintext, blob_store)
-    ciphertext = crypto.encrypt(data_key, nonce, payload)
+    return store_account_payload(led, caller, account, payload, mode, data_key, nonce)
+
+
+def store_account_payload(led: Ledger, caller: crypto.KeyPair, account: Address,
+                          payload: bytes, mode: str, data_key: crypto.PublicKey,
+                          nonce: bytes) -> CallReceipt:
+    """Write an encoded payload to the account's data field, encrypted under
+    the shared data key and tagged with ``mode``."""
     return led.call(caller, account, "update_data",
-                    codec.pack(codec.text(mode), ciphertext))
+                    codec.pack(codec.text(mode), crypto.encrypt(data_key, nonce, payload)))
 
 
 def propose_expiration(led: Ledger, caller: crypto.KeyPair, account: Address,

@@ -203,13 +203,14 @@ class SimWorld:
     def update_account(self, handle: AccountHandle, mode: str, plaintext: bytes,
                        by: Optional[crypto.KeyPair] = None) -> CallReceipt:
         """Store new account data as its institution, under the next data nonce."""
-        receipt = accounts.update_account_data(
+        payload = accounts.encode_data_payload(mode, plaintext, self.blobs)
+        receipt = accounts.store_account_payload(
             self.ledger, by or handle.institution_view.institution, handle.address,
-            plaintext, mode, handle.institution_view.shared_data.public,
-            self.data_nonce(handle.name, handle.update_count), blob_store=self.blobs)
+            payload, mode, handle.institution_view.shared_data.public,
+            self.data_nonce(handle.name, handle.update_count))
         if receipt.accepted:
             handle.update_count += 1
-            handle.latest_payload = accounts.encode_data_payload(mode, plaintext, self.blobs)
+            handle.latest_payload = payload
         return receipt
 
     def mint_record(self, author: str, record: str) -> Address:
@@ -671,31 +672,33 @@ def audit_write_once(world: SimWorld) -> None:
 def audit_chain_validity(world: SimWorld, strict: bool = True) -> None:
     """Structural invariants over every public-record list.
 
-    Always: every traversed record is minted *and* marked added by its
-    factory, lists never revisit a record, and parent factories agree.
+    Always: every list walks cleanly (``walk_public_records``), every
+    traversed record is minted *and* marked added by the record factory it
+    names, and no record sits in two lists.
     ``strict`` additionally demands that every added record is reachable
     from some identity head — true in honest worlds, deliberately violated
     by smuggling attacks, which mark loose records as added.
     """
     led = world.ledger
-    registry_state = led.read_state(world.registry)
+    factories = {address.digest: led.read_state(address) for address in
+                 led.contracts_by_kind(public_records.RecordFactoryContract.KIND)}
     visited: set[bytes] = set()
-    for key_raw, record in registry_state.records.items():
-        cursor = record.first_public_record
-        while cursor is not None:
-            if cursor in visited:
-                raise AuditFailure(f"record {cursor.hex()[:12]} appears in two list positions")
-            visited.add(cursor)
-            state = led.read_state(Address(cursor))
-            factory_state = led.read_state(Address(state.parent_factory))
-            if cursor not in factory_state.minted:
-                raise AuditFailure("linked record not minted by its claimed factory")
-            if cursor not in factory_state.added:
-                raise AuditFailure("linked record missing from its factory's added set")
-            cursor = state.next_record
+    for record in led.read_state(world.registry).records.values():
+        try:
+            for address, state in public_records.walk_public_records(led, record.first_public_record):
+                if address.digest in visited:
+                    raise AuditFailure(f"record {address.short()} appears in two list positions")
+                visited.add(address.digest)
+                factory_state = factories.get(state.parent_factory)
+                if factory_state is None or address.digest not in factory_state.minted:
+                    raise AuditFailure("linked record not minted by its claimed factory")
+                if address.digest not in factory_state.added:
+                    raise AuditFailure("linked record missing from its factory's added set")
+        except public_records.BrokenChain as exc:
+            raise AuditFailure(f"broken public-record list: {exc}") from exc
     if strict:
-        for factory_address in led.contracts_by_kind(public_records.RecordFactoryContract.KIND):
-            for added in led.read_state(factory_address).added:
+        for factory_state in factories.values():
+            for added in factory_state.added:
                 if added not in visited:
                     raise AuditFailure(
                         f"added record {added.hex()[:12]} unreachable from any identity")

@@ -239,8 +239,12 @@ def trusted_view(state: IdentityState, subject: crypto.PublicKey,
     record = state.records.get(subject.to_bytes())
     if record is None:
         raise UnknownSubject(subject.short_id())
-    trusted_raw = {k.to_bytes() for k in trust_set}
-    return any(cert in trusted_raw for cert in record.certificates)
+    return _has_trusted_certificate(record, trust_set)
+
+
+def _has_trusted_certificate(record: IdentityRecord, trust_set: set[crypto.PublicKey]) -> bool:
+    """Does some certificate on ``record`` come from a key in ``trust_set``?"""
+    return not {k.to_bytes() for k in trust_set}.isdisjoint(record.certificates)
 
 
 def identity_challenge(subject: crypto.KeyPair, challenge: bytes) -> bytes:
@@ -266,11 +270,6 @@ def approve_certification(state: IdentityState, subject: crypto.PublicKey, finge
     record = state.records.get(subject.to_bytes())
     if record is None or record.fingerprint != fingerprint:
         return False
-    trusted_raw = {k.to_bytes() for k in trust_set}
-    for other_key in state.fingerprint_index.get(fingerprint, ()):
-        if other_key == subject.to_bytes():
-            continue
-        other = state.records[other_key]
-        if any(cert in trusted_raw for cert in other.certificates):
-            return False
-    return True
+    return not any(_has_trusted_certificate(state.records[other], trust_set)
+                   for other in state.fingerprint_index.get(fingerprint, ())
+                   if other != subject.to_bytes())

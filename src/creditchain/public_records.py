@@ -252,16 +252,18 @@ def walk_public_records(led: Ledger, first: Optional[bytes]
                         ) -> Iterator[tuple[Address, PublicRecordState]]:
     """Yield (address, state) along a list from the record whose address
     digest is ``first`` (None: an empty list), following next pointers
-    off-chain.  Raises BrokenChain on a cycle or a dangling pointer."""
+    off-chain.  Raises BrokenChain on a cycle or a dangling pointer, which
+    includes one that is not an address."""
     seen: set[bytes] = set()
     cursor = first
     while cursor is not None:
         if cursor in seen:
             raise BrokenChain(f"cycle through {cursor.hex()}")
         seen.add(cursor)
-        address = Address(cursor)
-        if not led.exists(address) or led.contract_kind(address) != PublicRecordContract.KIND:
-            raise BrokenChain(f"dangling pointer to {address.hex}")
+        address = Address(cursor) if len(cursor) == crypto.DIGEST_SIZE else None
+        if (address is None or not led.exists(address)
+                or led.contract_kind(address) != PublicRecordContract.KIND):
+            raise BrokenChain(f"dangling pointer to {cursor.hex()}")
         state: PublicRecordState = led.read_state(address)
         yield address, state
         cursor = state.next_record

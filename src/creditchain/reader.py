@@ -465,45 +465,68 @@ def render_report(report: VerifiedReport) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _hex_or_none(value: Optional[bytes]) -> Optional[str]:
-    return None if value is None else value.hex()
+def _read_window(value: Any) -> tuple[int, int]:
+    # type() and not isinstance(): a JSON true is a bool, which is an int
+    if isinstance(value, list) and len(value) == 2 and all(type(b) is int for b in value):
+        return tuple(value)
+    raise ValueError("window must be null or two integers")
 
 
-def _bytes_or_none(value: Optional[str]) -> Optional[bytes]:
-    return None if value is None else bytes.fromhex(value)
+# The bundle file format, one row per field: (JSON key and attribute name,
+# (write, read) for its kind of value, required).  A required key must be
+# present and not null; any other may be absent or null, read as None, and
+# None is written as null.
+_BYTES = (bytes.hex, bytes.fromhex)
+_ADDRESS = (lambda a: a.hex, lambda h: Address(bytes.fromhex(h)))
+_PUBLIC = (lambda k: k.to_bytes().hex(), lambda h: crypto.PublicKey.from_bytes(bytes.fromhex(h)))
+_PRIVATE = (lambda k: k.to_bytes().hex(), lambda h: crypto.PrivateKey.from_bytes(bytes.fromhex(h)))
+_BUNDLE_FIELDS = (
+    ("identity", _PUBLIC, True),
+    ("head_nonce", _BYTES, False),
+    ("window", (list, _read_window), False),
+)
+_ENTRY_FORMATS = {
+    "keys": (KeyDisclosure, (
+        ("address", _ADDRESS, True),
+        ("institution_identity", _PUBLIC, True),
+        ("pointer_key", _PRIVATE, True),
+        ("data_key", _PRIVATE, False),
+    )),
+    "plaintext": (PlaintextDisclosure, (
+        ("address", _ADDRESS, True),
+        ("institution_identity", _PUBLIC, True),
+        ("pointer_public_key", _PUBLIC, True),
+        ("next_address", _ADDRESS, False),
+        ("next_nonce", _BYTES, False),
+        ("data_plaintext", _BYTES, False),
+        ("data_nonce", _BYTES, False),
+        ("data_public_key", _PUBLIC, False),
+    )),
+}
+_VARIANT_OF = {cls: (variant, fields) for variant, (cls, fields) in _ENTRY_FORMATS.items()}
+
+
+def _write_fields(fields: tuple, obj: Any, doc: dict[str, Any]) -> dict[str, Any]:
+    for key, (write, _), _ in fields:
+        value = getattr(obj, key)
+        doc[key] = None if value is None else write(value)
+    return doc
+
+
+def _read_fields(fields: tuple, doc: dict[str, Any]) -> dict[str, Any]:
+    values = {}
+    for key, (_, read), required in fields:
+        value = doc[key] if required else doc.get(key)
+        values[key] = read(value) if required or value is not None else None
+    return values
 
 
 def bundle_to_json(bundle: DisclosureBundle) -> str:
     entries = []
     for entry in bundle.entries:
-        if isinstance(entry, KeyDisclosure):
-            entries.append({
-                "variant": "keys",
-                "address": entry.address.hex,
-                "institution_identity": entry.institution_identity.to_bytes().hex(),
-                "pointer_key": entry.pointer_key.to_bytes().hex(),
-                "data_key": None if entry.data_key is None else entry.data_key.to_bytes().hex(),
-            })
-        else:
-            entries.append({
-                "variant": "plaintext",
-                "address": entry.address.hex,
-                "institution_identity": entry.institution_identity.to_bytes().hex(),
-                "pointer_public_key": entry.pointer_public_key.to_bytes().hex(),
-                "next_address": None if entry.next_address is None else entry.next_address.hex,
-                "next_nonce": _hex_or_none(entry.next_nonce),
-                "data_plaintext": _hex_or_none(entry.data_plaintext),
-                "data_nonce": _hex_or_none(entry.data_nonce),
-                "data_public_key": None if entry.data_public_key is None
-                                   else entry.data_public_key.to_bytes().hex(),
-            })
-    doc = {
-        "identity": bundle.identity.to_bytes().hex(),
-        "head_nonce": _hex_or_none(bundle.head_nonce),
-        "window": None if bundle.window is None else list(bundle.window),
-        "entries": entries,
-    }
-    return json.dumps(doc, sort_keys=True)
+        variant, fields = _VARIANT_OF[type(entry)]
+        entries.append(_write_fields(fields, entry, {"variant": variant}))
+    return json.dumps(_write_fields(_BUNDLE_FIELDS, bundle, {"entries": entries}), sort_keys=True)
 
 
 # What decoding an untrusted document can raise: bad JSON, hex or variant
@@ -522,52 +545,19 @@ def bundle_from_json(text: str) -> DisclosureBundle:
         raise MalformedInput(f"bundle does not decode: {type(exc).__name__} {exc}") from exc
 
 
-def _bundle_from_doc(doc) -> DisclosureBundle:
+def _bundle_from_doc(doc: Any) -> DisclosureBundle:
     if not isinstance(doc, dict):
         raise ValueError("a bundle must be a JSON object")
     if not isinstance(doc["entries"], list) or not all(isinstance(raw, dict)
                                                         for raw in doc["entries"]):
         raise ValueError("entries must be a list of objects")
-    window = doc.get("window")
-    # type() and not isinstance(): a JSON true is a bool, which is an int
-    if window is not None and not (isinstance(window, list) and len(window) == 2
-                                   and all(type(bound) is int for bound in window)):
-        raise ValueError("window must be null or two integers")
     entries: list[DisclosureEntry] = []
     for raw in doc["entries"]:
-        if raw["variant"] == "keys":
-            entries.append(KeyDisclosure(
-                address=Address(bytes.fromhex(raw["address"])),
-                institution_identity=crypto.PublicKey.from_bytes(
-                    bytes.fromhex(raw["institution_identity"])),
-                pointer_key=crypto.PrivateKey.from_bytes(bytes.fromhex(raw["pointer_key"])),
-                data_key=None if raw.get("data_key") is None
-                         else crypto.PrivateKey.from_bytes(bytes.fromhex(raw["data_key"])),
-            ))
-        elif raw["variant"] == "plaintext":
-            next_address = raw.get("next_address")
-            data_public = raw.get("data_public_key")
-            entries.append(PlaintextDisclosure(
-                address=Address(bytes.fromhex(raw["address"])),
-                institution_identity=crypto.PublicKey.from_bytes(
-                    bytes.fromhex(raw["institution_identity"])),
-                pointer_public_key=crypto.PublicKey.from_bytes(
-                    bytes.fromhex(raw["pointer_public_key"])),
-                next_address=None if next_address is None else Address(bytes.fromhex(next_address)),
-                next_nonce=_bytes_or_none(raw.get("next_nonce")),
-                data_plaintext=_bytes_or_none(raw.get("data_plaintext")),
-                data_nonce=_bytes_or_none(raw.get("data_nonce")),
-                data_public_key=None if data_public is None
-                                else crypto.PublicKey.from_bytes(bytes.fromhex(data_public)),
-            ))
-        else:
+        if raw["variant"] not in _ENTRY_FORMATS:
             raise ValueError(f"unknown disclosure variant {raw['variant']!r}")
-    return DisclosureBundle(
-        identity=crypto.PublicKey.from_bytes(bytes.fromhex(doc["identity"])),
-        entries=tuple(entries),
-        head_nonce=_bytes_or_none(doc.get("head_nonce")),
-        window=None if window is None else tuple(window),
-    )
+        cls, fields = _ENTRY_FORMATS[raw["variant"]]
+        entries.append(cls(**_read_fields(fields, raw)))
+    return DisclosureBundle(entries=tuple(entries), **_read_fields(_BUNDLE_FIELDS, doc))
 
 
 def trust_to_json(trust_set: set[crypto.PublicKey]) -> str:
