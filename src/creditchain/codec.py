@@ -30,6 +30,7 @@ _U8 = struct.Struct(">B").pack
 _U16 = struct.Struct(">H").pack
 _U32 = struct.Struct(">I").pack
 _U64 = struct.Struct(">Q").pack
+_U32_AT = struct.Struct(">I").unpack_from
 
 
 def u8(value: int) -> bytes:
@@ -81,8 +82,33 @@ def pack(*fields: bytes) -> bytes:
     return b"".join([_U32(len(f)) + f for f in fields])
 
 
+def split(data: bytes) -> list[bytes]:
+    """Inverse of pack() for any field count: every field, in order, read in
+    one pass by offset.  Raises DecodeError if ``data`` ends inside a length
+    prefix or a field."""
+    fields = []
+    pos, end = 0, len(data)
+    while pos < end:
+        if end - pos < 4:
+            raise DecodeError(f"needed 4 bytes at offset {pos}, stream exhausted")
+        start = pos + 4
+        pos = start + _U32_AT(data, pos)[0]
+        if pos > end:
+            raise DecodeError(f"needed {pos - start} bytes at offset {start}, stream exhausted")
+        fields.append(data[start:pos])
+    return fields
+
+
 def text(value: str) -> bytes:
     return value.encode("utf-8")
+
+
+def decode_text(data: bytes) -> str:
+    """Inverse of text(); bytes that are not UTF-8 raise DecodeError."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"text field is not UTF-8: {exc.reason}") from exc
 
 
 def opt(value: Optional[bytes]) -> bytes:
@@ -121,10 +147,7 @@ class ByteReader:
 
     def text(self) -> str:
         """A blob holding UTF-8 text; other bytes raise DecodeError."""
-        try:
-            return self.blob().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError(f"text field is not UTF-8: {exc.reason}") from exc
+        return decode_text(self.blob())
 
     def remaining(self) -> int:
         return len(self._data) - self._pos
@@ -136,7 +159,7 @@ class ByteReader:
 
 def unpack(data: bytes, count: int) -> list[bytes]:
     """Inverse of pack() for a known field count."""
-    reader = ByteReader(data)
-    fields = [reader.blob() for _ in range(count)]
-    reader.expect_end()
+    fields = split(data)
+    if len(fields) != count:
+        raise DecodeError(f"expected {count} fields, found {len(fields)}")
     return fields

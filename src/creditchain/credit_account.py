@@ -301,7 +301,7 @@ def accept_expiration(led: Ledger, caller: crypto.KeyPair, account: Address,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodedPayload:
     mode: str
     inline: Optional[bytes] = None
@@ -323,17 +323,20 @@ def encode_data_payload(mode: str, plaintext: bytes,
 
 
 def decode_data_payload(payload: bytes) -> DecodedPayload:
-    reader = codec.ByteReader(payload)
-    mode = reader.text()
-    if mode == DATA_MODE_INLINE:
-        inline = reader.blob()
-        reader.expect_end()
-        return DecodedPayload(mode=mode, inline=inline)
-    if mode == DATA_MODE_EXTERNAL:
-        content_digest = reader.blob()
-        blob_id = reader.text()
-        reader.expect_end()
-        return DecodedPayload(mode=mode, content_digest=content_digest, blob_id=blob_id)
+    """Inverse of ``encode_data_payload``, in one pass over ``payload``.
+
+    Raises codec.DecodeError for an unknown mode, a mode or blob id that is
+    not UTF-8, input that ends inside a field, and fields beyond the mode's.
+    """
+    fields = codec.split(payload)
+    mode = codec.decode_text(fields[0]) if fields else ""
+    if mode == DATA_MODE_INLINE and len(fields) == 2:
+        return DecodedPayload(mode=mode, inline=fields[1])
+    if mode == DATA_MODE_EXTERNAL and len(fields) == 3:
+        return DecodedPayload(mode=mode, content_digest=fields[1],
+                              blob_id=codec.decode_text(fields[2]))
+    if mode in DATA_MODES:
+        raise codec.DecodeError(f"{mode} payload has {len(fields)} fields")
     raise codec.DecodeError(f"unknown payload mode {mode!r}")
 
 

@@ -17,7 +17,8 @@ depends on that.
 Each ``PrivateKey`` derives and loads its Ed25519 and X25519 key objects,
 and the ``PublicKey`` they give, once, on first use, and keeps them for its
 own lifetime; they are not dataclass fields, so equality, hashing and
-``repr`` see only the secret.
+``repr`` see only the secret.  A ``PublicKey`` likewise joins its two
+halves into the 64-byte form ``to_bytes`` returns once, on first use.
 
 A ``KeyPair``'s two halves always match: constructing one (directly or
 through ``dataclasses.replace``) whose public half is not the one its
@@ -99,8 +100,17 @@ class PublicKey:
         if len(self.signing) != 32 or len(self.encryption) != 32:
             raise CryptoError("public key halves must be 32 bytes each")
 
+    # The joined halves, kept on the instance by the first ``to_bytes``:
+    # registry lookups, memo keys and bundle files ask for them again and
+    # again.  Not a field, so equality, hashing and repr ignore it.
+    _raw = None
+
     def to_bytes(self) -> bytes:
-        return self.signing + self.encryption
+        raw = self._raw
+        if raw is None:
+            raw = self.signing + self.encryption
+            object.__setattr__(self, "_raw", raw)
+        return raw
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "PublicKey":

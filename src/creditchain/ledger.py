@@ -49,7 +49,11 @@ calls set the memory ceiling.  ``export`` writes every field straight into
 one buffer, a blob's length and then the bytes object the transaction
 already holds, so it builds no per-field copies.  Decoding an export shares
 repeated values: equal caller keys, target addresses and function names
-become one object each, which every replayed ``Transaction`` holds.
+become one object each, which every replayed ``Transaction`` holds.  The
+footer's state digests are kept on each contract's record beside the state
+they were computed from, so an export encodes only the states that changed
+since the last digest, and a replayed ledger re-exports without encoding
+any.
 """
 
 from __future__ import annotations
@@ -115,7 +119,7 @@ class ReplayMismatch(LedgerError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Address:
     """32-byte contract address, hashable and usable as a mapping key."""
 
@@ -255,11 +259,14 @@ def register_contract(cls: Any) -> Any:
     return cls
 
 
-@dataclass
+@dataclass(slots=True)
 class _ContractRecord:
     cls: Any  # the contract kind's class; ``cls.KIND`` names it
     state: Any
     created: int  # block of the deploying transaction
+    # (state, its digest) as ``state_digest`` last computed them: valid only
+    # while ``state`` is still that very object
+    digested: Optional[tuple[Any, bytes]] = None
 
 
 class CallContext:
@@ -518,6 +525,14 @@ class Ledger:
     def exists(self, address: Address) -> bool:
         return address in self._contracts
 
+    def read_contract(self, address: Address) -> Optional[tuple[str, Any, int]]:
+        """(kind, state, creation block) of the contract at ``address``, or
+        None if nothing lives there: what ``contract_kind``, ``read_state``
+        and ``creation_block`` return, found with one lookup.  Treat the
+        state as a snapshot and never mutate it."""
+        record = self._contracts.get(address)
+        return None if record is None else (record.cls.KIND, record.state, record.created)
+
     def contract_kind(self, address: Address) -> str:
         return self._record(address).cls.KIND
 
@@ -566,9 +581,17 @@ class Ledger:
         return record
 
     def state_digest(self, address: Address) -> bytes:
+        """Digest of the contract's kind and encoded state.  It is kept on
+        the contract's record with the state it was computed from and
+        reused while the record still holds that very object, so an
+        unchanged state is encoded once however often the ledger exports."""
         record = self._record(address)
-        return crypto.digest(codec.pack(b"state", codec.text(record.cls.KIND),
-                                        record.cls.encode_state(record.state)))
+        if record.digested is not None and record.digested[0] is record.state:
+            return record.digested[1]
+        digest = crypto.digest(codec.pack(b"state", codec.text(record.cls.KIND),
+                                          record.cls.encode_state(record.state)))
+        record.digested = (record.state, digest)
+        return digest
 
     def state_digests(self) -> dict[Address, bytes]:
         return {address: self.state_digest(address) for address in self._contracts}

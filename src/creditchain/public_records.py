@@ -261,10 +261,10 @@ def walk_public_records(led: Ledger, first: Optional[bytes]
             raise BrokenChain(f"cycle through {cursor.hex()}")
         seen.add(cursor)
         address = Address(cursor) if len(cursor) == crypto.DIGEST_SIZE else None
-        if (address is None or not led.exists(address)
-                or led.contract_kind(address) != PublicRecordContract.KIND):
+        contract = None if address is None else led.read_contract(address)
+        if contract is None or contract[0] != PublicRecordContract.KIND:
             raise BrokenChain(f"dangling pointer to {cursor.hex()}")
-        state: PublicRecordState = led.read_state(address)
+        state: PublicRecordState = contract[1]
         yield address, state
         cursor = state.next_record
 

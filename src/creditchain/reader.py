@@ -27,12 +27,14 @@ check then only passes if every in-window account has its data open.
 A reader meets the same chain facts again and again: commitments and links
 are write-once, and a data field changes only when it is rewritten.  Three
 pure checks are therefore memoized, each in its own LRU of ``MEMO_ENTRIES``
-entries keyed on its exact input bytes: the commitment check (institution
-key, commitment message, signature), the ``KeyDisclosure`` opens (the key's
-32-byte master secret, ciphertext) and the ``PlaintextDisclosure``
-re-encryptions (public key, nonce, plaintext).  A rewritten data field, a
-different key or a tampered bundle changes the key and takes the full
-check; an exception is never stored, and inputs longer than
+entries keyed on its exact input bytes: the commitment check (account
+address, institution key, customer key, signature: the inputs the signed
+message is built from, so the message is built only on a miss), the
+``KeyDisclosure`` opens (the key's 32-byte master secret, ciphertext) and
+the ``PlaintextDisclosure`` re-encryptions (public key, nonce, plaintext).
+A rewritten data field, a different key or a tampered bundle changes the
+key and takes the full check; a failed check, an exception or a signature
+that does not verify, is never stored, and inputs longer than
 ``MEMO_MAX_INPUT`` bytes are never stored, which keeps the memos under
 ``MEMO_CEILING_BYTES``.  The memos live in the process and are never
 persisted.  Ledger submit and replay and the harness audits call ``crypto``
@@ -58,8 +60,8 @@ from . import codec, crypto
 from .credit_account import (
     CreditAccountContract,
     CreditAccountState,
-    commitment_message,
     decode_data_payload,
+    verify_commitment,
     BlobStore,
 )
 from .identity import UnknownIdentity
@@ -95,7 +97,7 @@ class MalformedInput(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyDisclosure:
     """Share the account's shared private keys.  ``data_key`` may be withheld
     to keep the data field closed while still proving the chain link."""
@@ -106,7 +108,7 @@ class KeyDisclosure:
     data_key: Optional[crypto.PrivateKey] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlaintextDisclosure:
     """Share plaintexts and nonces instead of keys.
 
@@ -131,7 +133,7 @@ class PlaintextDisclosure:
 DisclosureEntry = Union[KeyDisclosure, PlaintextDisclosure]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DisclosureBundle:
     identity: crypto.PublicKey
     entries: tuple[DisclosureEntry, ...]
@@ -139,7 +141,7 @@ class DisclosureBundle:
     window: Optional[tuple[int, int]] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportEntry:
     address: Address
     creation_block: int
@@ -154,7 +156,7 @@ class ReportEntry:
     external_digest: Optional[bytes] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifiedReport:
     identity: crypto.PublicKey
     entries: tuple[ReportEntry, ...]
@@ -171,7 +173,7 @@ class VerifiedReport:
 # field has no size limit on-chain, so a longer input is checked every time
 # and never stored.  An entry then takes at most about 1.3 KiB (tracemalloc,
 # CPython 3.11), so the three memos together stay below MEMO_CEILING_BYTES,
-# 18,874,368 bytes (18 MiB).  The common entries are smaller: 561 bytes for a
+# 18,874,368 bytes (18 MiB).  The common entries are smaller: 513 bytes for a
 # commitment check, 383 for a link open and 488 for a link re-encryption.
 MEMO_ENTRIES = 4096
 MEMO_MAX_INPUT = 512
@@ -201,7 +203,8 @@ class _Memo:
     def call(self, key: tuple[bytes, ...], check: Callable[..., Any], *args: Any) -> Any:
         """``check(*args)``, answered from the memo if ``key`` is stored.
 
-        Only a returned result is stored; an exception passes through.
+        Only a passed check is stored: an exception passes through, and a
+        result of False is returned but checked again next time.
         """
         with self._lock:
             result = self._entries.get(key)
@@ -209,7 +212,7 @@ class _Memo:
                 self._entries.move_to_end(key)
                 return result
         result = check(*args)
-        if sum(map(len, key)) <= MEMO_MAX_INPUT:
+        if result is not False and sum(map(len, key)) <= MEMO_MAX_INPUT:
             with self._lock:
                 self._entries[key] = result
                 if len(self._entries) > MEMO_ENTRIES:
@@ -217,14 +220,19 @@ class _Memo:
         return result
 
 
-_commitments = _Memo()  # crypto.verify(institution, message, commitment)
+_commitments = _Memo()  # verify_commitment(state, account, institution, customer)
 _openings = _Memo()     # crypto.decrypt(key, ciphertext)
 _sealings = _Memo()     # crypto.encrypt(public, nonce, message)
 
 
-def _verify(public: crypto.PublicKey, message: bytes, signature: bytes) -> bool:
-    return _commitments.call((public.to_bytes(), message, signature),
-                             crypto.verify, public, message, signature)
+def _verify_commitment(state: CreditAccountState, account: Address,
+                       institution: crypto.PublicKey, customer: crypto.PublicKey) -> bool:
+    """Whether ``state.commitment`` signs (account, institution, customer).
+    The memo key is those inputs themselves, so the signed message is built
+    only when the memo does not hold the answer."""
+    return _commitments.call(
+        (account.digest, institution.to_bytes(), customer.to_bytes(), state.commitment),
+        verify_commitment, state, account, institution, customer)
 
 
 def _decrypt(private: crypto.PrivateKey, ciphertext: bytes) -> bytes:
@@ -270,19 +278,20 @@ def assemble_report(led: Ledger, registry: Address, bundle: DisclosureBundle,
 
         _verify_link(entry, index, pending_ciphertext, pending_nonce)
 
-        if not led.exists(address) or led.contract_kind(address) != CreditAccountContract.KIND:
+        contract = led.read_contract(address)
+        if contract is None or contract[0] != CreditAccountContract.KIND:
             raise ChainMismatch(f"entry {index} does not point at a credit account")
-        state: CreditAccountState = led.read_state(address)
+        _, state, created = contract
 
         commitment_ok = False
         if state.commitment is not None:
-            message = commitment_message(address, entry.institution_identity, bundle.identity)
-            if not _verify(entry.institution_identity, message, state.commitment):
+            if not _verify_commitment(state, address, entry.institution_identity,
+                                      bundle.identity):
                 raise CommitmentInvalid(address)
             commitment_ok = True
 
         disclosed, payload = _recover_payload(entry, index, state)
-        entries.append(_build_entry(led, address, state, entry, commitment_ok,
+        entries.append(_build_entry(address, created, state, entry, commitment_ok,
                                     disclosed, payload, trust_set, blob_store))
 
         pending_ciphertext = state.next_account
@@ -364,7 +373,7 @@ def _recover_payload(entry: DisclosureEntry, index: int,
     return True, entry.data_plaintext
 
 
-def _build_entry(led: Ledger, address: Address, state: CreditAccountState,
+def _build_entry(address: Address, created: int, state: CreditAccountState,
                  entry: DisclosureEntry, commitment_ok: bool, disclosed: bool,
                  payload: Optional[bytes], trust_set: set[crypto.PublicKey],
                  blob_store: Optional[BlobStore]) -> ReportEntry:
@@ -390,19 +399,11 @@ def _build_entry(led: Ledger, address: Address, state: CreditAccountState,
                 if crypto.digest(document) != decoded.content_digest:
                     raise ChainMismatch(f"external document digest mismatch at {address.short()}")
                 data = document
-    return ReportEntry(
-        address=address,
-        creation_block=led.creation_block(address),
-        expiration=state.expiration,
-        institution=entry.institution_identity,
-        institution_trusted=entry.institution_identity in trust_set,
-        commitment_ok=commitment_ok,
-        disclosed=disclosed,
-        data_mode=data_mode,
-        data=data,
-        external_id=external_id,
-        external_digest=external_digest,
-    )
+    # positional, in field order: binding eleven keywords costs more than
+    # the rest of a warm entry's bookkeeping
+    return ReportEntry(address, created, state.expiration, entry.institution_identity,
+                       entry.institution_identity in trust_set, commitment_ok, disclosed,
+                       data_mode, data, external_id, external_digest)
 
 
 def check_window(report: VerifiedReport, lo: int, hi: int) -> bool:
@@ -475,11 +476,12 @@ def _read_window(value: Any) -> tuple[int, int]:
 # The bundle file format, one row per field: (JSON key and attribute name,
 # (write, read) for its kind of value, required).  A required key must be
 # present and not null; any other may be absent or null, read as None, and
-# None is written as null.
+# None is written as null.  An entry's rows follow its class's field order,
+# since a read entry is built from the values positionally.
 _BYTES = (bytes.hex, bytes.fromhex)
-_ADDRESS = (lambda a: a.hex, lambda h: Address(bytes.fromhex(h)))
+_ADDRESS = (lambda a: a.digest.hex(), lambda h: Address(bytes.fromhex(h)))
 _PUBLIC = (lambda k: k.to_bytes().hex(), lambda h: crypto.PublicKey.from_bytes(bytes.fromhex(h)))
-_PRIVATE = (lambda k: k.to_bytes().hex(), lambda h: crypto.PrivateKey.from_bytes(bytes.fromhex(h)))
+_PRIVATE = (lambda k: k.master.hex(), lambda h: crypto.PrivateKey(bytes.fromhex(h)))
 _BUNDLE_FIELDS = (
     ("identity", _PUBLIC, True),
     ("head_nonce", _BYTES, False),
@@ -513,12 +515,19 @@ def _write_fields(fields: tuple, obj: Any, doc: dict[str, Any]) -> dict[str, Any
     return doc
 
 
-def _read_fields(fields: tuple, doc: dict[str, Any]) -> dict[str, Any]:
-    values = {}
+def _read_fields(fields: tuple, doc: dict[str, Any]) -> list[Any]:
+    """The value of each row's key, in row order."""
+    values = []
     for key, (_, read), required in fields:
         value = doc[key] if required else doc.get(key)
-        values[key] = read(value) if required or value is not None else None
+        values.append(read(value) if required or value is not None else None)
     return values
+
+
+# json.dumps(doc, sort_keys=True) without building an encoder per call.  A
+# bundle document is a tree built here, so no container needs the circular
+# reference check.
+_ENCODE = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 def bundle_to_json(bundle: DisclosureBundle) -> str:
@@ -526,7 +535,7 @@ def bundle_to_json(bundle: DisclosureBundle) -> str:
     for entry in bundle.entries:
         variant, fields = _VARIANT_OF[type(entry)]
         entries.append(_write_fields(fields, entry, {"variant": variant}))
-    return json.dumps(_write_fields(_BUNDLE_FIELDS, bundle, {"entries": entries}), sort_keys=True)
+    return _ENCODE(_write_fields(_BUNDLE_FIELDS, bundle, {"entries": entries}))
 
 
 # What decoding an untrusted document can raise: bad JSON, hex or variant
@@ -548,16 +557,19 @@ def bundle_from_json(text: str) -> DisclosureBundle:
 def _bundle_from_doc(doc: Any) -> DisclosureBundle:
     if not isinstance(doc, dict):
         raise ValueError("a bundle must be a JSON object")
-    if not isinstance(doc["entries"], list) or not all(isinstance(raw, dict)
-                                                        for raw in doc["entries"]):
+    if not isinstance(doc["entries"], list):
         raise ValueError("entries must be a list of objects")
     entries: list[DisclosureEntry] = []
     for raw in doc["entries"]:
-        if raw["variant"] not in _ENTRY_FORMATS:
+        if not isinstance(raw, dict):
+            raise ValueError("entries must be a list of objects")
+        form = _ENTRY_FORMATS.get(raw["variant"])
+        if form is None:
             raise ValueError(f"unknown disclosure variant {raw['variant']!r}")
-        cls, fields = _ENTRY_FORMATS[raw["variant"]]
-        entries.append(cls(**_read_fields(fields, raw)))
-    return DisclosureBundle(entries=tuple(entries), **_read_fields(_BUNDLE_FIELDS, doc))
+        cls, fields = form
+        entries.append(cls(*_read_fields(fields, raw)))
+    identity, head_nonce, window = _read_fields(_BUNDLE_FIELDS, doc)
+    return DisclosureBundle(identity, tuple(entries), head_nonce, window)
 
 
 def trust_to_json(trust_set: set[crypto.PublicKey]) -> str:

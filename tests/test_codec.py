@@ -111,3 +111,40 @@ def test_opt_marks_presence():
     assert codec.opt(None) == b"\x00"
     assert codec.opt(b"") == b"\x01"
     assert codec.opt(b"ab") == b"\x01ab"
+
+
+@given(st.lists(st.binary(max_size=40), max_size=6))
+def test_split_inverts_pack(fields):
+    assert codec.split(codec.pack(*fields)) == fields
+
+
+@pytest.mark.parametrize("data", [b"\x00\x00\x00", codec.u32(4) + b"abc",
+                                  codec.pack(b"x") + b"\x00"],
+                         ids=["short-prefix", "short-field", "trailing-byte"])
+def test_split_refuses_a_cut_field(data):
+    with pytest.raises(codec.DecodeError, match="stream exhausted"):
+        codec.split(data)
+
+
+def _unpack_field_by_field(data, count):
+    reader = codec.ByteReader(data)
+    fields = [reader.blob() for _ in range(count)]
+    reader.expect_end()
+    return fields
+
+
+@given(st.lists(st.binary(max_size=12), max_size=4), st.integers(0, 5),
+       st.integers(0, 3), st.binary(max_size=6))
+def test_unpack_agrees_with_field_by_field_reading(fields, count, cut, extra):
+    """Packed fields, cut short or with bytes after them, read for some
+    field count: one pass gives what sequential reading gives, or both
+    refuse."""
+    data = codec.pack(*fields)
+    data = data[:len(data) - cut] + extra
+    try:
+        expected = _unpack_field_by_field(data, count)
+    except codec.DecodeError:
+        with pytest.raises(codec.DecodeError):
+            codec.unpack(data, count)
+    else:
+        assert codec.unpack(data, count) == expected

@@ -1,6 +1,7 @@
 """Each off-chain format and walk has one implementation: one payload encode
 per account update, one public-record list walker (which the chain-validity
-audit uses), and one bundle field table whose output bytes are pinned."""
+audit uses), and one bundle field table whose output bytes are pinned.  And
+each contract state is encoded once for as long as it stays unchanged."""
 
 import dataclasses
 import hashlib
@@ -10,7 +11,8 @@ import pytest
 
 from creditchain import credit_account as accounts
 from creditchain import harness, public_records, reader
-from creditchain.harness import AuditFailure, run_scenario_file
+from creditchain.harness import AuditFailure, run_scenario, run_scenario_file
+from creditchain.ledger import CONTRACT_KINDS, Ledger
 
 LIFECYCLE = Path(__file__).parent.parent / "scenarios" / "lifecycle.scn"
 
@@ -103,3 +105,41 @@ def test_bundle_json_bytes_are_pinned(chain5_world, variant):
     text = reader.bundle_to_json(bundle)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BUNDLE_JSON_SHA256[variant]
     assert reader.bundle_from_json(text) == bundle
+
+
+@pytest.mark.parametrize("variant", sorted(reader._ENTRY_FORMATS))
+def test_entry_rows_follow_field_order(variant):
+    """A read entry is built from its row values positionally."""
+    cls, fields = reader._ENTRY_FORMATS[variant]
+    assert [key for key, _, _ in fields] == [f.name for f in dataclasses.fields(cls)]
+
+
+def _count_state_encodes(monkeypatch):
+    """Route every contract kind's encode_state through a counter."""
+    encoded = []
+    for cls in CONTRACT_KINDS.values():
+        def counted(state, _real=cls.encode_state):
+            encoded.append(state)
+            return _real(state)
+        monkeypatch.setattr(cls, "encode_state", staticmethod(counted))
+    return encoded
+
+
+def test_unchanged_ledger_encodes_each_state_once(lifecycle_world, monkeypatch):
+    led = lifecycle_world.ledger
+    encoded = _count_state_encodes(monkeypatch)
+    first = led.export()
+    assert len(encoded) == len(led.addresses())
+    assert led.export() == first
+    assert len(encoded) == len(led.addresses())
+
+
+def test_export_after_a_call_encodes_only_the_changed_state(monkeypatch):
+    world = run_scenario_file(LIFECYCLE).world
+    led = world.ledger
+    led.export()
+    encoded = _count_state_encodes(monkeypatch)
+    run_scenario('UPDATE a-acct1 inline "a new balance"\n', world=world)
+    again = led.export()
+    assert encoded == [led.read_state(world.account("a-acct1").address)]
+    assert Ledger.replay(again).export() == again

@@ -412,3 +412,71 @@ def test_blob_store_is_content_addressed():
     assert a == b
     assert len(store) == 1
     assert a in store
+
+
+# -- payload decoding ----------------------------------------------------------------
+
+
+def _decode_field_by_field(payload):
+    """A sequential decoder of the payload layout, field by field, that
+    ``decode_data_payload``'s one pass must agree with."""
+    reader = codec.ByteReader(payload)
+    mode = reader.text()
+    if mode == accounts.DATA_MODE_INLINE:
+        decoded = accounts.DecodedPayload(mode=mode, inline=reader.blob())
+    elif mode == accounts.DATA_MODE_EXTERNAL:
+        decoded = accounts.DecodedPayload(mode=mode, content_digest=reader.blob(),
+                                          blob_id=reader.text())
+    else:
+        raise codec.DecodeError(f"unknown payload mode {mode!r}")
+    reader.expect_end()
+    return decoded
+
+
+INLINE = codec.pack(codec.text(accounts.DATA_MODE_INLINE), b"doc")
+EXTERNAL = codec.pack(codec.text(accounts.DATA_MODE_EXTERNAL), crypto.digest(b"doc"),
+                      codec.text(crypto.digest(b"doc").hex()))
+BAD_PAYLOADS = {
+    "empty": b"",
+    "unknown-mode": codec.pack(b"telepathy", b"doc"),
+    "mode-not-utf8": codec.pack(b"\xff\xfe", b"doc"),
+    "blob-id-not-utf8": codec.pack(codec.text(accounts.DATA_MODE_EXTERNAL), b"d", b"\xff"),
+    "inline-missing-document": codec.pack(codec.text(accounts.DATA_MODE_INLINE)),
+    "external-missing-blob-id": codec.pack(codec.text(accounts.DATA_MODE_EXTERNAL), b"d"),
+    "short-prefix": INLINE[:2],
+    "short-field": INLINE[:-1],
+    "trailing-byte": INLINE + b"\x00",
+    "trailing-field": INLINE + codec.pack(b"more"),
+    "external-trailing-field": EXTERNAL + codec.pack(b""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PAYLOADS))
+def test_decode_data_payload_refuses(case):
+    with pytest.raises(codec.DecodeError):
+        accounts.decode_data_payload(BAD_PAYLOADS[case])
+
+
+@pytest.mark.parametrize("payload", [INLINE, EXTERNAL], ids=["inline", "external"])
+def test_decode_data_payload_reads_each_mode(payload):
+    assert accounts.decode_data_payload(payload) == _decode_field_by_field(payload)
+
+
+PAYLOAD_FIELDS = st.sampled_from([codec.text(m) for m in accounts.DATA_MODES]
+                                 + [b"", b"\xff", b"inline "]) | st.binary(max_size=6)
+
+
+@given(fields=st.lists(PAYLOAD_FIELDS, max_size=4), cut=st.integers(0, 3),
+       extra=st.binary(max_size=5))
+def test_decode_data_payload_agrees_with_field_by_field_reading(fields, cut, extra):
+    """Packed fields, cut short or with bytes after them: the one-pass
+    decoder gives what the sequential one gives, or both refuse."""
+    payload = codec.pack(*fields)
+    payload = payload[:len(payload) - cut] + extra
+    try:
+        expected = _decode_field_by_field(payload)
+    except codec.DecodeError:
+        with pytest.raises(codec.DecodeError):
+            accounts.decode_data_payload(payload)
+    else:
+        assert accounts.decode_data_payload(payload) == expected

@@ -276,3 +276,17 @@ def test_generate_keypair_derives_the_public_key_once(monkeypatch):
     pair = crypto.generate_keypair(b"derived once")
     assert built == [pair.public]
     assert pair.private.public_key() is pair.public  # one object, held by both
+
+
+def test_public_key_bytes_are_joined_once_and_invisible():
+    warm = crypto.generate_keypair(b"joined once").public
+    cold = crypto.PublicKey(warm.signing, warm.encryption)
+    raw = warm.to_bytes()
+    assert raw == warm.signing + warm.encryption
+    assert warm.to_bytes() is raw
+    assert "_raw" not in vars(cold)
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert [f.name for f in dataclasses.fields(warm)] == ["signing", "encryption"]
+    assert crypto.PublicKey.from_bytes(raw) == warm
+    replaced = dataclasses.replace(warm, encryption=bytes(32))
+    assert replaced.to_bytes() == warm.signing + bytes(32)

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from creditchain import codec, crypto, reader
+from creditchain import codec, crypto, identity, reader
 from creditchain.credit_account import DATA_MODE_EXTERNAL, DATA_MODE_INLINE
 from creditchain.harness import run_scenario
-from creditchain.ledger import Ledger
+from creditchain.ledger import Address, Ledger
 
 
 def assemble(world, bundle, **kwargs):
@@ -568,3 +568,92 @@ def test_memos_stay_under_their_ceiling(cold_memos):
     finally:
         tracemalloc.stop()
     assert held < reader.MEMO_CEILING_BYTES, f"memos hold {held} bytes"
+
+
+# -- the commitment memo binds the customer ------------------------------------------
+
+
+def _head_at(world, customer, target, nonce=b"graft nonce"):
+    """Register ``customer`` and point their chain head at ``target`` under a
+    fresh pointer key; returns that key pair and the nonce."""
+    run_scenario(f"GENKEY {customer}\nREGISTER {customer} FUZZ:{customer.upper()}\n",
+                 world=world)
+    pointer = crypto.generate_keypair(customer.encode(), crypto.ROLE_SHARED_POINTER)
+    ciphertext = crypto.encrypt(pointer.public, nonce, target.digest)
+    receipt = identity.set_first_credit_account(world.ledger, world.registry,
+                                                world.actor(customer), ciphertext)
+    assert receipt.accepted, receipt
+    return pointer, nonce
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold-memo", "after-owner-report"])
+def test_grafted_account_fails_its_commitment(cold_memos, warm):
+    """A thief points their own chain head at another customer's committed
+    account and discloses it: the link opens, the data key is withheld, and
+    the institution is the real one.  Only the customer identity in the
+    commitment tells them apart, so the check must fail even once the
+    owner's honest report has put that account's check in the memo."""
+    world = helpers.build_chain_world(2)
+    victim = world.account("acct0")
+    pointer, _ = _head_at(world, "thief", victim.address)
+    graft = reader.DisclosureBundle(
+        identity=world.actor("thief").public,
+        entries=(reader.KeyDisclosure(address=victim.address,
+                                      institution_identity=world.actor(victim.institution).public,
+                                      pointer_key=pointer.private),))
+    if warm:
+        assert assemble(world, world.build_bundle("cust")).entries[0].commitment_ok
+        assert len(reader._commitments) == 2
+    with pytest.raises(reader.CommitmentInvalid) as err:
+        assemble(world, graft)
+    assert err.value.address == victim.address
+
+
+# -- the one ledger read per entry refuses what is not a credit account ------------
+
+
+@pytest.fixture(scope="module")
+def record_world():
+    world = helpers.build_chain_world(1)
+    run_scenario("MINT inst0 rec\n", world=world)
+    return world
+
+
+NOT_ACCOUNTS = {
+    "registry": lambda world: world.registry,
+    "factory": lambda world: world.factory,
+    "public-record": lambda world: world.records["rec"].address,
+    "unknown-address": lambda world: Address(b"\x07" * 32),
+}
+
+
+@pytest.mark.parametrize("variant", ["keys", "plaintext"])
+@pytest.mark.parametrize("target", sorted(NOT_ACCOUNTS))
+def test_link_to_a_non_account_is_refused(record_world, variant, target):
+    world = record_world
+    address = NOT_ACCOUNTS[target](world)
+    customer = f"lost-{target}-{variant}"
+    pointer, nonce = _head_at(world, customer, address)
+    institution = world.actor("inst0").public
+    if variant == "keys":
+        entry = reader.KeyDisclosure(address=address, institution_identity=institution,
+                                     pointer_key=pointer.private)
+        head_nonce = None
+    else:
+        entry = reader.PlaintextDisclosure(address=address, institution_identity=institution,
+                                           pointer_public_key=pointer.public)
+        head_nonce = nonce
+    bundle = reader.DisclosureBundle(identity=world.actor(customer).public, entries=(entry,),
+                                     head_nonce=head_nonce)
+    with pytest.raises(reader.ChainMismatch, match="entry 0 does not point at a credit account"):
+        assemble(world, bundle)
+
+
+def test_failed_commitment_check_is_not_stored(chain5_world, cold_memos):
+    world = chain5_world
+    honest = world.build_bundle("cust")
+    forged = _with(honest, 0, institution_identity=crypto.generate_keypair(b"liar").public)
+    for _ in range(2):
+        with pytest.raises(reader.CommitmentInvalid):
+            assemble(world, forged)
+        assert len(reader._commitments) == 0

@@ -190,6 +190,34 @@ def test_report_on_truncated_export(capsys, disclosure_files):
     assert "Traceback" not in out + err
 
 
+REPORT_INPUT_ERRORS = {
+    "truncated-bundle": lambda files, argv: files["bundle"].write_text(
+        files["bundle"].read_text()[:100]),
+    "bad-trust": lambda files, argv: files["trust"].write_text("not json at all"),
+    "bad-identity-hex": lambda files, argv: argv.__setitem__(1, "zz-not-hex"),
+    "lone-from": lambda files, argv: argv.extend(["--from", "0"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_INPUT_ERRORS))
+def test_report_checks_its_inputs_before_replaying(capsys, monkeypatch, disclosure_files, case):
+    """An unusable input exits 2 without replaying the ledger, the slowest
+    step, and wins over a ledger that would not replay either."""
+    ledger, bundle, trust, identity_hex = disclosure_files
+    ledger.write_bytes(ledger.read_bytes()[:200])
+    argv = ["report", identity_hex, "--ledger", ledger, "--bundle", bundle, "--trust", trust]
+    REPORT_INPUT_ERRORS[case]({"bundle": bundle, "trust": trust}, argv)
+
+    def refuse(data):
+        raise AssertionError("the ledger was replayed before the inputs were checked")
+
+    monkeypatch.setattr(Ledger, "replay", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
 def _edit(change):
     """A bundle edit: decode the JSON, apply ``change`` to it, encode again."""
     def apply(text):
