@@ -23,7 +23,7 @@ only when one party proposes a value and the other accepts that same value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from . import codec, crypto, identity
@@ -76,6 +76,8 @@ class CreditAccountContract:
         return CreditAccountState(customer_key=customer, institution_key=institution,
                                   expiration=expiration)
 
+    # Each transition builds its next state with the constructor, not
+    # ``dataclasses.replace``, which walks ``fields()`` per call.
     @staticmethod
     def apply(state: CreditAccountState, ctx: CallContext, function: str, args: bytes) -> CreditAccountState:
         if function == "commit":
@@ -83,14 +85,23 @@ class CreditAccountContract:
                 raise ContractRejected("AlreadyCommitted")
             # Stored opaquely: validity is judged off-chain by whoever is
             # shown the identity keys it is supposed to bind.
-            return replace(state, commitment=args)
+            return CreditAccountState(customer_key=state.customer_key,
+                                      institution_key=state.institution_key,
+                                      expiration=state.expiration, commitment=args,
+                                      data_mode=state.data_mode, data=state.data,
+                                      next_account=state.next_account,
+                                      pending_expiration=state.pending_expiration)
 
         if function == "set_next":
             if ctx.caller != state.customer_key:
                 raise ContractRejected("NotChainOwner")
             if state.next_account is not None:
                 raise ContractRejected("PointerAlreadySet")
-            return replace(state, next_account=args)
+            return CreditAccountState(customer_key=state.customer_key,
+                                      institution_key=state.institution_key,
+                                      expiration=state.expiration, commitment=state.commitment,
+                                      data_mode=state.data_mode, data=state.data, next_account=args,
+                                      pending_expiration=state.pending_expiration)
 
         if function == "update_data":
             if ctx.caller != state.institution_key:
@@ -104,14 +115,24 @@ class CreditAccountContract:
             mode = mode_raw.decode("utf-8", errors="replace")
             if mode not in DATA_MODES:
                 raise ContractRejected("BadArguments")
-            return replace(state, data_mode=mode, data=ciphertext)
+            return CreditAccountState(customer_key=state.customer_key,
+                                      institution_key=state.institution_key,
+                                      expiration=state.expiration, commitment=state.commitment,
+                                      data_mode=mode, data=ciphertext,
+                                      next_account=state.next_account,
+                                      pending_expiration=state.pending_expiration)
 
         if function == "propose_expiration":
             if ctx.caller not in (state.customer_key, state.institution_key):
                 raise ContractRejected("NotParty")
             value = _u64_arg(args)
             # A counter-proposal simply replaces whatever was pending.
-            return replace(state, pending_expiration=(value, ctx.caller))
+            return CreditAccountState(customer_key=state.customer_key,
+                                      institution_key=state.institution_key,
+                                      expiration=state.expiration, commitment=state.commitment,
+                                      data_mode=state.data_mode, data=state.data,
+                                      next_account=state.next_account,
+                                      pending_expiration=(value, ctx.caller))
 
         if function == "accept_expiration":
             if ctx.caller not in (state.customer_key, state.institution_key):
@@ -124,7 +145,11 @@ class CreditAccountContract:
             if _u64_arg(args) != value:
                 # the proposal being accepted no longer exists
                 raise ContractRejected("NoPendingProposal")
-            return replace(state, expiration=value, pending_expiration=None)
+            return CreditAccountState(customer_key=state.customer_key,
+                                      institution_key=state.institution_key, expiration=value,
+                                      commitment=state.commitment, data_mode=state.data_mode,
+                                      data=state.data, next_account=state.next_account,
+                                      pending_expiration=None)
 
         raise ContractRejected("UnknownFunction")
 

@@ -17,15 +17,25 @@ set of institutions they trust and intersect it with the certificate list
 (`trusted_view`).  Certifying institutions are expected to run
 `approve_certification` off-chain first, which is what keeps one person from
 accumulating multiple trusted keys.
+
+The registry holds a record for every customer and institution, so its
+``records`` map is a ``versioned.VersionedMap``: a registration or a record
+change appends one entry to a log that every registry state shares, in O(1),
+instead of copying the map.  Each state stays an immutable snapshot that
+reads as it did when committed, and the log holds one entry per accepted
+write, like the ledger's own log.  A transition applied to a state that is
+no longer the newest copies the map first.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
 from . import codec, crypto
 from .ledger import Address, CallContext, CallReceipt, ContractRejected, Ledger, register_contract
+from .versioned import VersionedMap, put
 
 
 class UnknownSubject(Exception):
@@ -36,7 +46,7 @@ class UnknownIdentity(Exception):
     """A traversal or report names an identity key with no registry record."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityRecord:
     key: bytes
     fingerprint: bytes
@@ -45,11 +55,12 @@ class IdentityRecord:
     certificates: tuple[bytes, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityState:
-    """records: key -> record, in registration order."""
+    """records: key -> record, in registration order; a ``VersionedMap``,
+    so registering or changing a record writes one entry, not a copy."""
 
-    records: dict[bytes, IdentityRecord]
+    records: Mapping[bytes, IdentityRecord]
 
     @property
     def fingerprint_index(self) -> dict[bytes, tuple[bytes, ...]]:
@@ -66,7 +77,7 @@ class IdentityContract:
 
     @staticmethod
     def construct(ctx: CallContext, args: bytes) -> IdentityState:
-        return IdentityState(records={})
+        return IdentityState(records=VersionedMap())
 
     @staticmethod
     def apply(state: IdentityState, ctx: CallContext, function: str, args: bytes) -> IdentityState:
@@ -104,9 +115,8 @@ def _register(state: IdentityState, ctx: CallContext, fingerprint: bytes) -> Ide
         raise ContractRejected("BadArguments")
     if ctx.caller in state.records:
         raise ContractRejected("KeyAlreadyRegistered")
-    records = dict(state.records)
-    records[ctx.caller] = IdentityRecord(key=ctx.caller, fingerprint=fingerprint)
-    return IdentityState(records=records)
+    return IdentityState(records=put(state.records, ctx.caller,
+                                     IdentityRecord(key=ctx.caller, fingerprint=fingerprint)))
 
 
 def _subject_record(state: IdentityState, args: bytes) -> IdentityRecord:
@@ -121,9 +131,7 @@ def _subject_record(state: IdentityState, args: bytes) -> IdentityRecord:
 
 
 def _replace_record(state: IdentityState, record: IdentityRecord) -> IdentityState:
-    records = dict(state.records)
-    records[record.key] = record
-    return IdentityState(records=records)
+    return IdentityState(records=put(state.records, record.key, record))
 
 
 def _with_certificates(record: IdentityRecord, certificates: tuple[bytes, ...]) -> IdentityRecord:

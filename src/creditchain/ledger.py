@@ -203,7 +203,7 @@ def make_transaction(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallReceipt:
     accepted: bool
     reason: Optional[str]
@@ -495,15 +495,18 @@ class Ledger:
                 raise
             return receipt
 
+        created, staged = ctx.created, ctx.staged
         receipt = self._include(tx, seq, accepted=True, reason=None,
-                                result=ctx.result, created=tuple(ctx.created))
-        for address, (contract_cls, state) in ctx.created.items():
-            self._contracts[address] = _ContractRecord(
-                cls=contract_cls, state=state, created=receipt.block)
+                                result=ctx.result, created=tuple(created))
+        block = receipt.block
+        if created:
+            for address, (contract_cls, state) in created.items():
+                self._contracts[address] = _ContractRecord(contract_cls, state, block)
         if new_target_state is not None:
-            self._commit(tx.target, new_target_state, tx, receipt.block)
-        for address, state in ctx.staged.items():
-            self._commit(address, state, tx, receipt.block)
+            self._commit(tx.target, new_target_state, tx, block)
+        if staged:
+            for address, state in staged.items():
+                self._commit(address, state, tx, block)
         return receipt
 
     def _commit(self, address: Address, state: Any, tx: Transaction, block: int) -> None:
@@ -513,12 +516,11 @@ class Ledger:
 
     def _include(self, tx: Transaction, seq: int, *, accepted: bool, reason: Optional[str],
                  result: Optional[bytes] = None, created: tuple[Address, ...] = ()) -> CallReceipt:
-        self._log.append(LogEntry(tx=tx, accepted=accepted, reason=reason))
+        self._log.append(LogEntry(tx, accepted, reason))
         block = self._height
         # one transaction per block: seal immediately
         self._height += 1
-        return CallReceipt(accepted=accepted, reason=reason, block=block, seq=seq,
-                           result=result, created=created)
+        return CallReceipt(accepted, reason, block, seq, result, created)
 
     # -- reading ------------------------------------------------------------
 
@@ -528,8 +530,8 @@ class Ledger:
     def read_contract(self, address: Address) -> Optional[tuple[str, Any, int]]:
         """(kind, state, creation block) of the contract at ``address``, or
         None if nothing lives there: what ``contract_kind``, ``read_state``
-        and ``creation_block`` return, found with one lookup.  Treat the
-        state as a snapshot and never mutate it."""
+        and ``creation_block`` return, found with one lookup.  The state is
+        a snapshot, as ``read_state`` describes."""
         record = self._contracts.get(address)
         return None if record is None else (record.cls.KIND, record.state, record.created)
 
@@ -537,8 +539,17 @@ class Ledger:
         return self._record(address).cls.KIND
 
     def read_state(self, address: Address) -> Any:
-        """Current state of a contract; no key material required.  Treat the
-        returned object as a snapshot and never mutate it."""
+        """Current state of a contract; no key material required.
+
+        The state is an immutable snapshot: it reads the same however many
+        transactions change the contract afterwards, so never mutate it.  A
+        map that grows with the population (the registry's records, a
+        factory's minted and added sets) is a ``versioned.VersionedMap``:
+        every snapshot of it shares one log, which holds one entry per
+        accepted write like the ledger's own log, so keeping a snapshot
+        copies nothing.  Writing from a snapshot that is no longer the
+        newest, as a transition applied to a saved state does, copies its
+        map into a fresh log first."""
         return self._record(address).state
 
     def history(self, address: Address) -> list[HistoryEntry]:

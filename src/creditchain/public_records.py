@@ -21,12 +21,20 @@ append-only sets: everything it minted, and the subset that has been linked
 into a list.  Minting is open on purpose — spam is not prevented, it is
 ignored, because readers classify every traversed record by whether they
 trust its author.
+
+Both factory sets grow with every record ever minted, so each is a
+``versioned.VersionedMap`` (to None): a mint or a link appends one entry to
+a log that every factory state shares, in O(1), instead of copying the set.
+Each state stays an immutable snapshot, and the log holds one entry per
+accepted write, like the ledger's own log.  The append checks all run
+before the ``added`` set is written, so a refused link writes nothing; a
+write from a state that is no longer the newest copies the set first.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
 from typing import Optional
 
 from . import codec, crypto
@@ -40,6 +48,7 @@ from .ledger import (
     Ledger,
     register_contract,
 )
+from .versioned import VersionedMap, put
 
 RECORD_PLAINTEXT = "plaintext"
 RECORD_ENCRYPTED = "encrypted"
@@ -61,12 +70,13 @@ class BrokenChain(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FactoryState:
-    """Two insertion-ordered sets of record addresses; added ⊆ minted."""
+    """Two insertion-ordered sets of record addresses, each a ``VersionedMap``
+    to None, so a mint or a link writes one entry, not a copy; added ⊆ minted."""
 
-    minted: dict[bytes, None]
-    added: dict[bytes, None]
+    minted: Mapping[bytes, None]
+    added: Mapping[bytes, None]
 
 
 @dataclass(frozen=True)
@@ -85,7 +95,7 @@ class RecordFactoryContract:
 
     @staticmethod
     def construct(ctx: CallContext, args: bytes) -> FactoryState:
-        return FactoryState(minted={}, added={})
+        return FactoryState(minted=VersionedMap(), added=VersionedMap())
 
     @staticmethod
     def apply(state: FactoryState, ctx: CallContext, function: str, args: bytes) -> FactoryState:
@@ -93,7 +103,7 @@ class RecordFactoryContract:
             record = ctx.deploy(PublicRecordContract.KIND,
                                 codec.pack(ctx.caller, ctx.self_address.digest))
             ctx.set_result(record.digest)
-            return replace(state, minted={**state.minted, record.digest: None})
+            return FactoryState(minted=put(state.minted, record.digest, None), added=state.added)
         raise ContractRejected("UnknownFunction")
 
     @staticmethod
@@ -128,7 +138,9 @@ class PublicRecordContract:
             if state.next_record is not None:
                 raise ContractRejected("PointerAlreadySet")
             enforce_append_checks(ctx, args, required_factory=state.parent_factory)
-            return replace(state, next_record=args)
+            return PublicRecordState(author_key=state.author_key, parent_factory=state.parent_factory,
+                                     data_mode=state.data_mode, data=state.data,
+                                     signature=state.signature, next_record=args)
         raise ContractRejected("UnknownFunction")
 
     @staticmethod
@@ -159,8 +171,9 @@ def _fill(state: PublicRecordState, ctx: CallContext, args: bytes) -> PublicReco
     mode = mode_raw.decode("utf-8", errors="replace")
     if mode not in RECORD_MODES:
         raise ContractRejected("BadArguments")
-    return replace(state, data_mode=mode, data=data,
-                   signature=signature if signature else None)
+    return PublicRecordState(author_key=state.author_key, parent_factory=state.parent_factory,
+                             data_mode=mode, data=data, signature=signature if signature else None,
+                             next_record=state.next_record)
 
 
 def enforce_append_checks(ctx: CallContext, new_record: bytes,
@@ -195,14 +208,15 @@ def enforce_append_checks(ctx: CallContext, new_record: bytes,
     # 2 — only the author may place their record
     if ctx.caller != record_state.author_key:
         raise ContractRejected("InvalidRecord(2)")
-    # 3 — never twice in any list; query and mark atomically
+    # 3 — never twice in any list
     if new_record in factory_state.added:
         raise ContractRejected("InvalidRecord(3)")
-    ctx.stage(factory_address,
-              replace(factory_state, added={**factory_state.added, new_record: None}))
     # 4 — no pre-built tail may ride in behind it
     if record_state.next_record is not None:
         raise ContractRejected("InvalidRecord(4)")
+    # all four hold: mark the record in the same transaction as its link
+    ctx.stage(factory_address,
+              FactoryState(minted=factory_state.minted, added=put(factory_state.added, new_record, None)))
 
 
 # ---------------------------------------------------------------------------

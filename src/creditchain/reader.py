@@ -53,6 +53,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
@@ -310,14 +311,10 @@ def assemble_report(led: Ledger, registry: Address, bundle: DisclosureBundle,
                                  window_satisfied=bundle.window is None)
         raise IncompleteDisclosure(partial)
 
-    report = VerifiedReport(identity=bundle.identity, entries=tuple(entries),
-                            complete=True, window=bundle.window)
-    if bundle.window is not None:
-        lo, hi = bundle.window
-        report = VerifiedReport(identity=report.identity, entries=report.entries,
-                                complete=True, window=bundle.window,
-                                window_satisfied=check_window(report, lo, hi))
-    return report
+    window = bundle.window
+    return VerifiedReport(identity=bundle.identity, entries=tuple(entries), complete=True,
+                          window=window,
+                          window_satisfied=window is None or _window_disclosed(entries, *window))
 
 
 def _verify_link(entry: DisclosureEntry, index: int, ciphertext: bytes,
@@ -415,9 +412,12 @@ def check_window(report: VerifiedReport, lo: int, hi: int) -> bool:
     """
     if lo > hi:
         return True
-    if not report.complete:
-        return False
-    return all(e.disclosed for e in report.entries if lo <= e.creation_block <= hi)
+    return report.complete and _window_disclosed(report.entries, lo, hi)
+
+
+def _window_disclosed(entries: Sequence[ReportEntry], lo: int, hi: int) -> bool:
+    """Every entry created within [lo, hi] has open data."""
+    return all(e.disclosed for e in entries if lo <= e.creation_block <= hi)
 
 
 def _printable(text: str) -> str:

@@ -141,6 +141,26 @@ def test_incomplete_report_never_satisfies_window(chain5_world):
     assert not reader.check_window(err.value.report, *full)
 
 
+def test_window_verdict_is_check_windows(chain5_world):
+    """The verdict a windowed report carries is what ``check_window`` says of
+    it, over the windows and withheld sets the tests above use."""
+    world = chain5_world
+    names = world.chain_names("cust")
+    blocks = [e.creation_block for e in assemble(world, world.build_bundle("cust")).entries]
+    windows = [(min(blocks), max(blocks)), (blocks[-1], blocks[-1]), (50, 10), (3, 9)]
+    withheld = [frozenset(), frozenset({names[0]}), frozenset({names[1]}), frozenset(names)]
+    verdicts = set()
+    for window in windows:
+        for withhold in withheld:
+            for variant in ("keys", "plaintext"):
+                report = assemble(world, world.build_bundle("cust", variant=variant,
+                                                            window=window, withhold=withhold))
+                assert report.window == window
+                assert report.window_satisfied == reader.check_window(report, *window)
+                verdicts.add(report.window_satisfied)
+    assert verdicts == {True, False}
+
+
 # -- lying bundles -----------------------------------------------------------------
 
 
