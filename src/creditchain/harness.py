@@ -115,6 +115,7 @@ class SimWorld:
         self.records: dict[str, RecordHandle] = {}
         self.head_of: dict[str, str] = {}  # customer -> first account name
         self.blobs = BlobStore()
+        self._data_nonces: dict[str, tuple[int, bytes]] = {}  # account -> last (index, nonce)
 
     # -- deterministic derivations -------------------------------------
 
@@ -155,8 +156,15 @@ class SimWorld:
         return crypto.digest(codec.pack(b"link-nonce", self.seed, codec.text(account)))
 
     def data_nonce(self, account: str, index: int) -> bytes:
-        return crypto.digest(codec.pack(b"data-nonce", self.seed, codec.text(account),
-                                        codec.u64(index)))
+        # Each disclosure asks again for the nonce of the account's latest
+        # write, so the last nonce derived for each account is kept.
+        last = self._data_nonces.get(account)
+        if last is not None and last[0] == index:
+            return last[1]
+        nonce = crypto.digest(codec.pack(b"data-nonce", self.seed, codec.text(account),
+                                         codec.u64(index)))
+        self._data_nonces[account] = (index, nonce)
+        return nonce
 
     def record_nonce(self, record: str) -> bytes:
         return crypto.digest(codec.pack(b"record-nonce", self.seed, codec.text(record)))

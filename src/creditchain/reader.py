@@ -40,16 +40,26 @@ that does not verify, is never stored, and inputs longer than
 persisted.  Ledger submit and replay and the harness audits call ``crypto``
 directly and never consult them.
 
-Bundles and trust sets travel as JSON files.  ``bundle_to_json`` and
-``trust_to_json`` write one line with sorted keys, which the standard
-library's C encoder produces (an ``indent`` would send every call through
-the pure-Python encoder).  ``bundle_from_json`` and ``trust_from_json``
-accept any JSON layout of the same document, including the indented files
-earlier versions wrote, and check its schema whatever the layout.
+Bundles and trust sets travel as JSON files, written on one line with
+sorted keys: the bytes ``json.dumps(doc, sort_keys=True)`` gives.
+``trust_to_json`` calls the standard library.  ``bundle_to_json`` writes
+the text itself from the bundle field table below, without building a
+dict tree or calling the encoder: each format's key order and writers are
+settled into a template once, at import.  ``bundle_from_json`` and
+``trust_from_json`` parse with ``json.loads``, so they accept any JSON
+layout of the same document, including the indented files earlier versions
+wrote, and check its schema whatever the layout.  ``bundle_from_json``
+decodes each public key through one intern table, an LRU of
+``MEMO_ENTRIES`` entries that lives as long as the process: a key met in an
+earlier bundle comes back as the same immutable object, with its 64 bytes
+already joined, and a string that does not decode is never stored.  It
+stays below ``KEY_TABLE_CEILING_BYTES``.  Private keys and addresses are
+decoded afresh each time, so no secret key object outlives its bundle.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 from collections import OrderedDict
@@ -179,6 +189,11 @@ class VerifiedReport:
 MEMO_ENTRIES = 4096
 MEMO_MAX_INPUT = 512
 MEMO_CEILING_BYTES = 3 * MEMO_ENTRIES * 1536
+# The bundle reader's identity-key intern table also holds MEMO_ENTRIES
+# entries: a 128-character hex string, the key and its three byte strings,
+# about 0.6 KiB (tracemalloc, CPython 3.11), so the full table stays below
+# KEY_TABLE_CEILING_BYTES, 4 MiB.
+KEY_TABLE_CEILING_BYTES = MEMO_ENTRIES * 1024
 
 
 class _Memo:
@@ -473,19 +488,40 @@ def _read_window(value: Any) -> tuple[int, int]:
     raise ValueError("window must be null or two integers")
 
 
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
+def _public_from_hex(text: str) -> crypto.PublicKey:
+    """The key a hex string decodes to, interned: a bundle names the same
+    few identity keys again and again, so a key decoded before comes back
+    as the same immutable object, its 64 bytes already joined.  A string
+    that does not decode raises and is never stored."""
+    return crypto.PublicKey.from_bytes(bytes.fromhex(text))
+
+
+def _write_window(window: Any) -> str:
+    # Two plain ints, the only window that reads back, are written here;
+    # anything else (a bool is an int that json writes as true) as json
+    # writes it.
+    if len(window) == 2 and type(window[0]) is int and type(window[1]) is int:
+        return f"[{window[0]}, {window[1]}]"
+    return json.dumps(list(window))
+
+
 # The bundle file format, one row per field: (JSON key and attribute name,
-# (write, read) for its kind of value, required).  A required key must be
-# present and not null; any other may be absent or null, read as None, and
-# None is written as null.  An entry's rows follow its class's field order,
-# since a read entry is built from the values positionally.
-_BYTES = (bytes.hex, bytes.fromhex)
-_ADDRESS = (lambda a: a.digest.hex(), lambda h: Address(bytes.fromhex(h)))
-_PUBLIC = (lambda k: k.to_bytes().hex(), lambda h: crypto.PublicKey.from_bytes(bytes.fromhex(h)))
-_PRIVATE = (lambda k: k.master.hex(), lambda h: crypto.PrivateKey(bytes.fromhex(h)))
+# (write, read) for its kind of value, required).  ``write`` gives the
+# value's JSON text and ``read`` takes the value json.loads gives back.  A
+# required key must be present and not null; any other may be absent or
+# null, read as None, and None is written as null.  An entry's rows follow
+# its class's field order, since a read entry is built from the values
+# positionally.  Hex needs no JSON escape, so a quoted hex string is the
+# text json writes for it.
+_BYTES = (lambda b: f'"{b.hex()}"', bytes.fromhex)
+_ADDRESS = (lambda a: f'"{a.digest.hex()}"', lambda h: Address(bytes.fromhex(h)))
+_PUBLIC = (lambda k: f'"{k.to_bytes().hex()}"', _public_from_hex)
+_PRIVATE = (lambda k: f'"{k.master.hex()}"', lambda h: crypto.PrivateKey(bytes.fromhex(h)))
 _BUNDLE_FIELDS = (
     ("identity", _PUBLIC, True),
     ("head_nonce", _BYTES, False),
-    ("window", (list, _read_window), False),
+    ("window", (_write_window, _read_window), False),
 )
 _ENTRY_FORMATS = {
     "keys": (KeyDisclosure, (
@@ -505,14 +541,49 @@ _ENTRY_FORMATS = {
         ("data_public_key", _PUBLIC, False),
     )),
 }
-_VARIANT_OF = {cls: (variant, fields) for variant, (cls, fields) in _ENTRY_FORMATS.items()}
 
 
-def _write_fields(fields: tuple, obj: Any, doc: dict[str, Any]) -> dict[str, Any]:
-    for key, (write, _), _ in fields:
-        value = getattr(obj, key)
-        doc[key] = None if value is None else write(value)
-    return doc
+def _object_writer(fields: tuple, fixed: dict[str, str]) -> Callable[[Any], str]:
+    """A function giving an object's JSON text from its rows, plus the
+    ``fixed`` keys, whose JSON text is the same for every object: the text
+    ``json.dumps(tree, sort_keys=True)`` gives, one line with ", " and ": "
+    separators.  Key order and writers are settled here, once, into a
+    %-template with one slot per row."""
+    rows = sorted((key, write) for key, (write, _), _ in fields)
+    items = [(key, "%s") for key, _ in rows]
+    items += [(key, text.replace("%", "%%")) for key, text in fixed.items()]
+    template = "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in sorted(items)) + "}"
+
+    # Plain loops, not a comprehension or zip: each of those adds a live
+    # container that the garbage collector counts, and the more a report
+    # holds at once, the more often a collection falls inside it.
+    def write_object(obj: Any) -> str:
+        texts = []
+        for key, write in rows:
+            value = getattr(obj, key)
+            texts.append("null" if value is None else write(value))
+        return template % tuple(texts)
+
+    return write_object
+
+
+_WRITE_ENTRY = {cls: _object_writer(fields, {"variant": json.dumps(variant)})
+                for variant, (cls, fields) in _ENTRY_FORMATS.items()}
+
+
+def _write_entries(entries: Sequence[DisclosureEntry]) -> str:
+    texts = []
+    for entry in entries:
+        texts.append(_WRITE_ENTRY[type(entry)](entry))
+    return "[" + ", ".join(texts) + "]"
+
+
+_write_bundle = _object_writer((*_BUNDLE_FIELDS, ("entries", (_write_entries, None), True)), {})
+
+
+def bundle_to_json(bundle: DisclosureBundle) -> str:
+    """The bundle file's text: one line, keys sorted."""
+    return _write_bundle(bundle)
 
 
 def _read_fields(fields: tuple, doc: dict[str, Any]) -> list[Any]:
@@ -522,20 +593,6 @@ def _read_fields(fields: tuple, doc: dict[str, Any]) -> list[Any]:
         value = doc[key] if required else doc.get(key)
         values.append(read(value) if required or value is not None else None)
     return values
-
-
-# json.dumps(doc, sort_keys=True) without building an encoder per call.  A
-# bundle document is a tree built here, so no container needs the circular
-# reference check.
-_ENCODE = json.JSONEncoder(sort_keys=True, check_circular=False).encode
-
-
-def bundle_to_json(bundle: DisclosureBundle) -> str:
-    entries = []
-    for entry in bundle.entries:
-        variant, fields = _VARIANT_OF[type(entry)]
-        entries.append(_write_fields(fields, entry, {"variant": variant}))
-    return _ENCODE(_write_fields(_BUNDLE_FIELDS, bundle, {"entries": entries}))
 
 
 # What decoding an untrusted document can raise: bad JSON, hex or variant

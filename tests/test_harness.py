@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creditchain import harness
+from creditchain import codec, crypto, harness
 from creditchain.harness import (
     AuditFailure,
     DisclosureRefused,
@@ -362,3 +362,18 @@ def test_scenario_files_run_green():
         result = harness.run_scenario_file(path)
         assert result.steps > 0
         harness.run_all_audits(result.world)
+
+
+def test_data_nonce_is_derived_from_account_and_index_whatever_was_asked_before():
+    """The world keeps each account's last data nonce; asking again, for
+    another index or another account, still gives the derived nonce."""
+    world = SimWorld(b"nonce memo")
+
+    def derived(account, index):
+        return crypto.digest(codec.pack(b"data-nonce", world.seed, codec.text(account),
+                                        codec.u64(index)))
+
+    asks = [("a", 0), ("a", 0), ("a", 1), ("a", 1), ("a", 0), ("b", 1), ("a", 1), ("b", 0)]
+    got = {ask: world.data_nonce(*ask) for ask in asks}
+    assert all(world.data_nonce(*ask) == derived(*ask) for ask in asks)
+    assert len(set(got.values())) == len(got) == 4

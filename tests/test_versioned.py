@@ -74,6 +74,24 @@ def test_put_leaves_a_plain_dict_alone():
     assert dict(written) == {KEYS[0]: 1, KEYS[1]: 2}
 
 
+def test_views_read_their_version_after_later_puts():
+    """A values() or items() view taken from the newest version, and an
+    iteration begun over one, still read that version once later puts
+    replace a value and add a key."""
+    newest = put(put(VersionedMap(), KEYS[0], "a"), KEYS[1], "b")
+    values, items = newest.values(), newest.items()
+    started_values, started_items = iter(newest.values()), iter(newest.items())
+    assert next(started_values) == "a" and next(started_items) == (KEYS[0], "a")
+    later = put(put(newest, KEYS[1], "B"), KEYS[2], "c")
+    assert list(values) == ["a", "b"]
+    assert list(items) == [(KEYS[0], "a"), (KEYS[1], "b")]
+    assert list(started_values) == ["b"]
+    assert list(started_items) == [(KEYS[1], "b")]
+    assert "b" in values and (KEYS[1], "b") in items and (KEYS[1], "B") not in items
+    assert list(later.values()) == ["a", "B", "c"]
+    assert list(later.items()) == [(KEYS[0], "a"), (KEYS[1], "B"), (KEYS[2], "c")]
+
+
 @pytest.fixture
 def copies(monkeypatch):
     """The length of every map the copy path copies, in order."""
