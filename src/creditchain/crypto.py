@@ -18,9 +18,7 @@ Each ``PrivateKey`` derives and loads its Ed25519 and X25519 key objects,
 and the ``PublicKey`` they give, once, on first use, and keeps them for its
 own lifetime; they are not dataclass fields, so equality, hashing and
 ``repr`` see only the secret.  A ``PublicKey`` likewise joins its two
-halves into the 64-byte form ``to_bytes`` returns once, on first use; one
-decoded by ``from_bytes`` keeps the 64 bytes it was given as that form and
-never joins them.
+halves into the 64-byte form ``to_bytes`` returns once, on first use.
 
 A ``KeyPair``'s two halves always match: constructing one (directly or
 through ``dataclasses.replace``) whose public half is not the one its
@@ -118,10 +116,7 @@ class PublicKey:
     def from_bytes(cls, raw: bytes) -> "PublicKey":
         if len(raw) != PUBLIC_KEY_SIZE:
             raise CryptoError(f"public key must be {PUBLIC_KEY_SIZE} bytes, got {len(raw)}")
-        raw = bytes(raw)  # the same object when it already is bytes
-        key = cls(raw[:32], raw[32:])
-        object.__setattr__(key, "_raw", raw)  # already joined
-        return key
+        return cls(raw[:32], raw[32:])
 
     def short_id(self) -> str:
         """ 12-hex-character handle for transcripts and report rendering."""

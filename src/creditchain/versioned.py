@@ -18,8 +18,7 @@ version number and its length, and nothing it reads ever changes.
 
 * ``put`` from the newest version appends to the log in O(1) and returns the
   next version.
-* Reading the newest version is one dict lookup, and iterating its values
-  or items copies them out of that dict.
+* Reading the newest version is one dict lookup.
 * An older version bisects the key's few versions, so it reads exactly as it
   did when it was the newest.
 * ``put`` from any other version first copies that version into a fresh log
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import islice
 from typing import Any, TypeVar
 
@@ -121,43 +120,8 @@ class VersionedMap(Mapping[K, V]):
     def __len__(self) -> int:
         return self._len
 
-    def values(self) -> ValuesView[V]:
-        return _Values(self)
-
-    def items(self) -> ItemsView[K, V]:
-        return _Items(self)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-# A view reads the version it was taken from.  At the newest version the
-# log's ``latest`` dict holds every value, in insertion order, so iteration
-# copies them out at C speed; the copy keeps a ``put`` made while the
-# iteration runs from showing.  An older version reads key by key.
-
-
-class _Values(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator:
-        mapping = self._mapping
-        log = mapping._log
-        if mapping._version == len(log.writes):
-            return iter(list(log.latest.values()))
-        return super().__iter__()
-
-
-class _Items(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator:
-        mapping = self._mapping
-        log = mapping._log
-        if mapping._version == len(log.writes):
-            # zip stops with the copied values, before any key added since
-            return zip(log.keys, list(log.latest.values()))
-        return super().__iter__()
 
 
 def _copied(mapping: Mapping[K, V]) -> VersionedMap[K, V]:

@@ -76,7 +76,8 @@ def test_writer_gives_the_dict_tree_bytes(bundle):
 
 
 def test_writer_gives_json_text_for_any_window():
-    """A window of anything but two plain ints is written as json writes it."""
+    """A window that does not read back (a bool, a float, three values) is
+    still written as json writes it."""
     bundle = reader.DisclosureBundle(crypto.PublicKey(bytes(32), bytes(32)), ())
     for window in [(True, 3), (1.5, 2), (1, 2, 3), [4, 5]]:
         odd = dataclasses.replace(bundle, window=window)
@@ -116,7 +117,7 @@ def test_key_table_holds_memo_entries_under_its_ceiling(cold_key_table):
 def test_a_key_decoded_again_is_the_same_object(cold_key_table):
     first = reader.bundle_from_json(_identity_bundle(_distinct_key_hex(1))).identity
     again = reader.bundle_from_json(_identity_bundle(_distinct_key_hex(1))).identity
-    assert again is first and vars(first)["_raw"] == bytes.fromhex(_distinct_key_hex(1))
+    assert again is first and again.to_bytes() == bytes.fromhex(_distinct_key_hex(1))
 
 
 @pytest.mark.parametrize("hex_text", ["zz" * 64, "00" * 63, "00" * 65, 64, ["00"]],

@@ -290,15 +290,3 @@ def test_public_key_bytes_are_joined_once_and_invisible():
     assert crypto.PublicKey.from_bytes(raw) == warm
     replaced = dataclasses.replace(warm, encryption=bytes(32))
     assert replaced.to_bytes() == warm.signing + bytes(32)
-
-
-def test_decoded_public_key_keeps_the_bytes_it_was_given():
-    built = crypto.generate_keypair(b"decoded keeps its bytes").public
-    raw = bytes(built.signing + built.encryption)
-    decoded = crypto.PublicKey.from_bytes(raw)
-    assert vars(decoded)["_raw"] is raw and decoded.to_bytes() is raw
-    assert (decoded.signing, decoded.encryption) == (raw[:32], raw[32:])
-    cold = crypto.PublicKey(built.signing, built.encryption)
-    assert decoded == cold and hash(decoded) == hash(cold) and repr(decoded) == repr(cold)
-    from_buffer = crypto.PublicKey.from_bytes(bytearray(raw))
-    assert type(from_buffer.to_bytes()) is bytes and from_buffer.to_bytes() == raw
