@@ -14,6 +14,7 @@ Exit codes: 0 all good, 1 verification or expectation failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Optional
@@ -187,9 +188,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print("bundle was issued for a different identity", file=sys.stderr)
         return 1
     if args.window_from is not None:
-        bundle = reader.DisclosureBundle(identity=bundle.identity, entries=bundle.entries,
-                                         head_nonce=bundle.head_nonce,
-                                         window=(args.window_from, args.window_to))
+        bundle = dataclasses.replace(bundle, window=(args.window_from, args.window_to))
     led = _replay(args.ledger)
     registries = led.contracts_by_kind(identity.IdentityContract.KIND)
     if not registries:

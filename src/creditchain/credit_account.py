@@ -34,6 +34,7 @@ from .ledger import (
     ConstructorRejected,
     ContractRejected,
     Ledger,
+    evolve,
     register_contract,
 )
 
@@ -46,7 +47,7 @@ class NoCommitment(Exception):
     """verify_commitment was called on an account nobody has committed to."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreditAccountState:
     customer_key: bytes
     institution_key: bytes
@@ -66,7 +67,7 @@ class CreditAccountContract:
     def construct(ctx: CallContext, args: bytes) -> CreditAccountState:
         try:
             customer, institution, exp_raw = codec.unpack(args, 3)
-            expiration = codec.ByteReader(exp_raw).u64()
+            expiration = _decode_u64(exp_raw)
         except codec.DecodeError as exc:
             raise ConstructorRejected("BadArguments") from exc
         if len(customer) != crypto.PUBLIC_KEY_SIZE or len(institution) != crypto.PUBLIC_KEY_SIZE:
@@ -76,8 +77,6 @@ class CreditAccountContract:
         return CreditAccountState(customer_key=customer, institution_key=institution,
                                   expiration=expiration)
 
-    # Each transition builds its next state with the constructor, not
-    # ``dataclasses.replace``, which walks ``fields()`` per call.
     @staticmethod
     def apply(state: CreditAccountState, ctx: CallContext, function: str, args: bytes) -> CreditAccountState:
         if function == "commit":
@@ -85,23 +84,14 @@ class CreditAccountContract:
                 raise ContractRejected("AlreadyCommitted")
             # Stored opaquely: validity is judged off-chain by whoever is
             # shown the identity keys it is supposed to bind.
-            return CreditAccountState(customer_key=state.customer_key,
-                                      institution_key=state.institution_key,
-                                      expiration=state.expiration, commitment=args,
-                                      data_mode=state.data_mode, data=state.data,
-                                      next_account=state.next_account,
-                                      pending_expiration=state.pending_expiration)
+            return evolve(state, commitment=args)
 
         if function == "set_next":
             if ctx.caller != state.customer_key:
                 raise ContractRejected("NotChainOwner")
             if state.next_account is not None:
                 raise ContractRejected("PointerAlreadySet")
-            return CreditAccountState(customer_key=state.customer_key,
-                                      institution_key=state.institution_key,
-                                      expiration=state.expiration, commitment=state.commitment,
-                                      data_mode=state.data_mode, data=state.data, next_account=args,
-                                      pending_expiration=state.pending_expiration)
+            return evolve(state, next_account=args)
 
         if function == "update_data":
             if ctx.caller != state.institution_key:
@@ -115,24 +105,14 @@ class CreditAccountContract:
             mode = mode_raw.decode("utf-8", errors="replace")
             if mode not in DATA_MODES:
                 raise ContractRejected("BadArguments")
-            return CreditAccountState(customer_key=state.customer_key,
-                                      institution_key=state.institution_key,
-                                      expiration=state.expiration, commitment=state.commitment,
-                                      data_mode=mode, data=ciphertext,
-                                      next_account=state.next_account,
-                                      pending_expiration=state.pending_expiration)
+            return evolve(state, data_mode=mode, data=ciphertext)
 
         if function == "propose_expiration":
             if ctx.caller not in (state.customer_key, state.institution_key):
                 raise ContractRejected("NotParty")
             value = _u64_arg(args)
             # A counter-proposal simply replaces whatever was pending.
-            return CreditAccountState(customer_key=state.customer_key,
-                                      institution_key=state.institution_key,
-                                      expiration=state.expiration, commitment=state.commitment,
-                                      data_mode=state.data_mode, data=state.data,
-                                      next_account=state.next_account,
-                                      pending_expiration=(value, ctx.caller))
+            return evolve(state, pending_expiration=(value, ctx.caller))
 
         if function == "accept_expiration":
             if ctx.caller not in (state.customer_key, state.institution_key):
@@ -145,11 +125,7 @@ class CreditAccountContract:
             if _u64_arg(args) != value:
                 # the proposal being accepted no longer exists
                 raise ContractRejected("NoPendingProposal")
-            return CreditAccountState(customer_key=state.customer_key,
-                                      institution_key=state.institution_key, expiration=value,
-                                      commitment=state.commitment, data_mode=state.data_mode,
-                                      data=state.data, next_account=state.next_account,
-                                      pending_expiration=None)
+            return evolve(state, expiration=value, pending_expiration=None)
 
         raise ContractRejected("UnknownFunction")
 
@@ -173,12 +149,17 @@ class CreditAccountContract:
         )
 
 
+def _decode_u64(raw: bytes) -> int:
+    """The u64 that is the whole of ``raw``; any other length raises DecodeError."""
+    reader = codec.ByteReader(raw)
+    value = reader.u64()
+    reader.expect_end()
+    return value
+
+
 def _u64_arg(args: bytes) -> int:
     try:
-        reader = codec.ByteReader(args)
-        value = reader.u64()
-        reader.expect_end()
-        return value
+        return _decode_u64(args)
     except codec.DecodeError as exc:
         raise ContractRejected("BadArguments") from exc
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import codec, crypto
-from .ledger import Address, CallContext, CallReceipt, ContractRejected, Ledger, register_contract
+from .ledger import Address, CallContext, CallReceipt, ContractRejected, Ledger, evolve, register_contract
 from .versioned import VersionedMap, put
 
 
@@ -126,25 +126,15 @@ def _subject_record(state: IdentityState, args: bytes) -> IdentityRecord:
     return record
 
 
-# The transitions below build each next record and state with the
-# constructor, not ``dataclasses.replace``, which walks ``fields()`` per call.
-
-
 def _replace_record(state: IdentityState, record: IdentityRecord) -> IdentityState:
     return IdentityState(records=put(state.records, record.key, record))
-
-
-def _with_certificates(record: IdentityRecord, certificates: tuple[bytes, ...]) -> IdentityRecord:
-    return IdentityRecord(key=record.key, fingerprint=record.fingerprint,
-                          first_public_record=record.first_public_record,
-                          first_credit_account=record.first_credit_account, certificates=certificates)
 
 
 def _certify(state: IdentityState, ctx: CallContext, args: bytes) -> IdentityState:
     record = _subject_record(state, args)
     if ctx.caller in record.certificates:  # idempotent
         return state
-    return _replace_record(state, _with_certificates(record, record.certificates + (ctx.caller,)))
+    return _replace_record(state, evolve(record, certificates=record.certificates + (ctx.caller,)))
 
 
 def _decertify(state: IdentityState, ctx: CallContext, args: bytes) -> IdentityState:
@@ -152,7 +142,7 @@ def _decertify(state: IdentityState, ctx: CallContext, args: bytes) -> IdentityS
     if ctx.caller not in record.certificates:
         raise ContractRejected("NotACertifier")
     remaining = tuple(k for k in record.certificates if k != ctx.caller)
-    return _replace_record(state, _with_certificates(record, remaining))
+    return _replace_record(state, evolve(record, certificates=remaining))
 
 
 def _own_record(state: IdentityState, ctx: CallContext) -> IdentityRecord:
@@ -168,9 +158,7 @@ def _set_credit_head(state: IdentityState, ctx: CallContext, ciphertext: bytes) 
         raise ContractRejected("PointerAlreadySet")
     # The ciphertext is stored as handed in; nothing on-chain can check what
     # it decrypts to, and nothing tries.
-    return _replace_record(state, IdentityRecord(
-        key=record.key, fingerprint=record.fingerprint, first_public_record=record.first_public_record,
-        first_credit_account=ciphertext, certificates=record.certificates))
+    return _replace_record(state, evolve(record, first_credit_account=ciphertext))
 
 
 def _set_record_head(state: IdentityState, ctx: CallContext, args: bytes) -> IdentityState:
@@ -180,9 +168,7 @@ def _set_record_head(state: IdentityState, ctx: CallContext, args: bytes) -> Ide
     from . import public_records  # runtime import; the two modules share the append checks
 
     public_records.enforce_append_checks(ctx, args, required_factory=None)
-    return _replace_record(state, IdentityRecord(
-        key=record.key, fingerprint=record.fingerprint, first_public_record=args,
-        first_credit_account=record.first_credit_account, certificates=record.certificates))
+    return _replace_record(state, evolve(record, first_public_record=args))
 
 
 # ---------------------------------------------------------------------------

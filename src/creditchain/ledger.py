@@ -62,7 +62,8 @@ import io
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cache
 from typing import Any, ClassVar, Optional, Protocol
 
 from . import codec, crypto
@@ -235,6 +236,15 @@ class LogEntry:
 
 
 class ContractKind(Protocol):
+    """A contract kind: ``construct`` builds a deployment's first state,
+    ``apply`` runs one function call and returns the next state, and
+    ``encode_state`` gives a state's canonical bytes.
+
+    States are frozen, slotted snapshots.  A transition returns
+    ``evolve(state, ...)``, naming only the fields it writes, or raises
+    ``ContractRejected(reason)``.
+    """
+
     KIND: ClassVar[str]
 
     @staticmethod
@@ -248,6 +258,22 @@ class ContractKind(Protocol):
 
 
 CONTRACT_KINDS: dict[str, ContractKind] = {}
+
+
+def evolve(state: Any, **changes: Any) -> Any:
+    """``state`` with only the named fields changed, built by the state
+    class's own constructor, so frozen and ``__post_init__`` behaviour hold.
+    An unknown name raises ``TypeError``, as in ``dataclasses.replace``,
+    which unlike this walks ``fields()`` on every call."""
+    for name in _init_field_names(type(state)):
+        if name not in changes:
+            changes[name] = getattr(state, name)
+    return type(state)(**changes)
+
+
+@cache
+def _init_field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.init)
 
 
 def register_contract(cls: Any) -> Any:

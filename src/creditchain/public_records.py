@@ -46,6 +46,7 @@ from .ledger import (
     ConstructorRejected,
     ContractRejected,
     Ledger,
+    evolve,
     register_contract,
 )
 from .versioned import VersionedMap, put
@@ -79,7 +80,7 @@ class FactoryState:
     added: Mapping[bytes, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicRecordState:
     author_key: bytes
     parent_factory: bytes
@@ -103,7 +104,7 @@ class RecordFactoryContract:
             record = ctx.deploy(PublicRecordContract.KIND,
                                 codec.pack(ctx.caller, ctx.self_address.digest))
             ctx.set_result(record.digest)
-            return FactoryState(minted=put(state.minted, record.digest, None), added=state.added)
+            return evolve(state, minted=put(state.minted, record.digest, None))
         raise ContractRejected("UnknownFunction")
 
     @staticmethod
@@ -138,9 +139,7 @@ class PublicRecordContract:
             if state.next_record is not None:
                 raise ContractRejected("PointerAlreadySet")
             enforce_append_checks(ctx, args, required_factory=state.parent_factory)
-            return PublicRecordState(author_key=state.author_key, parent_factory=state.parent_factory,
-                                     data_mode=state.data_mode, data=state.data,
-                                     signature=state.signature, next_record=args)
+            return evolve(state, next_record=args)
         raise ContractRejected("UnknownFunction")
 
     @staticmethod
@@ -171,9 +170,7 @@ def _fill(state: PublicRecordState, ctx: CallContext, args: bytes) -> PublicReco
     mode = mode_raw.decode("utf-8", errors="replace")
     if mode not in RECORD_MODES:
         raise ContractRejected("BadArguments")
-    return PublicRecordState(author_key=state.author_key, parent_factory=state.parent_factory,
-                             data_mode=mode, data=data, signature=signature if signature else None,
-                             next_record=state.next_record)
+    return evolve(state, data_mode=mode, data=data, signature=signature if signature else None)
 
 
 def enforce_append_checks(ctx: CallContext, new_record: bytes,
@@ -215,8 +212,7 @@ def enforce_append_checks(ctx: CallContext, new_record: bytes,
     if record_state.next_record is not None:
         raise ContractRejected("InvalidRecord(4)")
     # all four hold: mark the record in the same transaction as its link
-    ctx.stage(factory_address,
-              FactoryState(minted=factory_state.minted, added=put(factory_state.added, new_record, None)))
+    ctx.stage(factory_address, evolve(factory_state, added=put(factory_state.added, new_record, None)))
 
 
 # ---------------------------------------------------------------------------

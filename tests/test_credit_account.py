@@ -97,6 +97,20 @@ def test_create_account_rejects_malformed_keys(led, views):
     assert err.value.reason == "BadArguments"
 
 
+@pytest.mark.parametrize("expiration", [codec.u64(500) + b"\x07", codec.u64(500)[:7]],
+                         ids=["nine-bytes", "seven-bytes"])
+def test_create_account_rejects_expiration_not_eight_bytes(led, views, expiration):
+    cust, inst = views
+    with pytest.raises(ConstructorRejected) as err:
+        led.deploy(inst.institution, "credit_account",
+                   codec.pack(cust.customer.public.to_bytes(), inst.institution.public.to_bytes(),
+                              expiration))
+    assert err.value.reason == "BadArguments"
+    [entry] = led.log
+    assert (entry.accepted, entry.reason) == (False, "BadArguments")
+    assert led.addresses() == []
+
+
 # -- commitment --------------------------------------------------------------------
 
 
