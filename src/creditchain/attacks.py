@@ -25,7 +25,6 @@ from .ledger import (
     Address,
     BadSignature,
     CallReceipt,
-    ConstructorRejected,
     ContractRejected,
     Ledger,
     Transaction,
@@ -68,25 +67,19 @@ class _Tally:
         self.attempts += 1
         try:
             result = action()
-        except (ContractRejected, ConstructorRejected) as exc:
-            if exc.reason == reason:
-                self.blocked += 1
-            else:
-                self.failures.append(f"{label}: rejected with {exc.reason}, wanted {reason}")
-            return
+        except ContractRejected as exc:
+            got, outcome = exc.reason, f"rejected with {exc.reason}"
         except BadSignature:
-            if reason == "BadSignature":
-                self.blocked += 1
+            got = outcome = "BadSignature"
+        else:
+            if isinstance(result, CallReceipt) and not result.accepted:
+                got, outcome = result.reason, f"rejected with {result.reason}"
             else:
-                self.failures.append(f"{label}: BadSignature, wanted {reason}")
-            return
-        if isinstance(result, CallReceipt) and not result.accepted:
-            if result.reason == reason:
-                self.blocked += 1
-            else:
-                self.failures.append(f"{label}: rejected with {result.reason}, wanted {reason}")
-            return
-        self.failures.append(f"{label}: accepted, wanted {reason}")
+                got, outcome = None, "accepted"
+        if got == reason:
+            self.blocked += 1
+        else:
+            self.failures.append(f"{label}: {outcome}, wanted {reason}")
 
     def expect_false(self, label: str, value: bool) -> None:
         self.attempts += 1

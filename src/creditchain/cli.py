@@ -145,6 +145,9 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_disclose(args: argparse.Namespace) -> int:
+    if args.window and args.window[0] > args.window[1]:
+        print("--window FROM must not be after TO", file=sys.stderr)
+        return 2
     world = _run_scenario(args.scenario).world
     if args.customer not in world.actors:
         print(f"no actor named {args.customer!r} in that scenario", file=sys.stderr)
@@ -183,6 +186,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 2
     if (args.window_from is None) != (args.window_to is None):
         print("--from and --to must be given together", file=sys.stderr)
+        return 2
+    if args.window_from is not None and args.window_from > args.window_to:
+        print("--from must not be after --to", file=sys.stderr)
         return 2
     if identity_key != bundle.identity:
         print("bundle was issued for a different identity", file=sys.stderr)

@@ -99,12 +99,8 @@ class ContractRejected(LedgerError):
         self.reason = reason
 
 
-class ConstructorRejected(LedgerError):
+class ConstructorRejected(ContractRejected):
     """A contract constructor refused the deployment."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
 
 
 class ChainFull(LedgerError):
@@ -212,6 +208,9 @@ class CallReceipt:
     seq: int
     result: Optional[bytes] = None
     created: tuple[Address, ...] = ()
+    # every address the transaction committed: those it created, then its
+    # target if the transition returned a state, then those it staged
+    committed: tuple[Address, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -241,8 +240,9 @@ class ContractKind(Protocol):
     ``encode_state`` gives a state's canonical bytes.
 
     States are frozen, slotted snapshots.  A transition returns
-    ``evolve(state, ...)``, naming only the fields it writes, or raises
-    ``ContractRejected(reason)``.
+    ``evolve(state, ...)``, naming only the fields it writes; returns None
+    to leave its target unchanged (a call that only stages other contracts);
+    or raises ``ContractRejected(reason)``.
     """
 
     KIND: ClassVar[str]
@@ -498,55 +498,43 @@ class Ledger:
             raise BadSignature("transaction signature does not verify")
 
     def _execute(self, tx: Transaction, seq: int, record: Optional[_ContractRecord]) -> CallReceipt:
-        """Apply an admitted transaction in the open block, log it, and
-        commit its changes if the transition accepted it.  ``record`` is the
-        target's, or None for a deployment."""
+        """Apply an admitted transaction in the open block, log it, seal the
+        block, and commit its changes if the transition accepted it.
+        ``record`` is the target's, or None for a deployment.  This is the
+        one place that writes the log or a contract's state."""
         if tx.block != self._height:  # own, logged and decoded ones already carry it
             tx = replace(tx, block=self._height)
         ctx = CallContext(self, tx, seq, tx.target)
+        block = self._height
         try:
             if tx.is_deploy():
                 cls = CONTRACT_KINDS.get(tx.function)
                 if cls is None:
                     raise ConstructorRejected(f"UnknownKind({tx.function})")
-                address = derive_address(tx.caller, seq, 0)
-                state = cls.construct(ctx, tx.args)
-                ctx.created[address] = (cls, state)
+                ctx.created[derive_address(tx.caller, seq, 0)] = (cls, cls.construct(ctx, tx.args))
                 new_target_state = None
             else:
                 new_target_state = record.cls.apply(record.state, ctx, tx.function, tx.args)
-        except (ContractRejected, ConstructorRejected) as exc:
-            receipt = self._include(tx, seq, accepted=False, reason=exc.reason)
+        except ContractRejected as exc:
+            self._log.append(LogEntry(tx, False, exc.reason))
+            self._height += 1  # one transaction per block: seal immediately
             if tx.is_deploy():
                 raise
-            return receipt
+            return CallReceipt(False, exc.reason, block, seq)
 
-        created, staged = ctx.created, ctx.staged
-        receipt = self._include(tx, seq, accepted=True, reason=None,
-                                result=ctx.result, created=tuple(created))
-        block = receipt.block
-        if created:
-            for address, (contract_cls, state) in created.items():
-                self._contracts[address] = _ContractRecord(contract_cls, state, block)
-        if new_target_state is not None:
-            self._commit(tx.target, new_target_state, tx, block)
-        if staged:
-            for address, state in staged.items():
-                self._commit(address, state, tx, block)
-        return receipt
-
-    def _commit(self, address: Address, state: Any, tx: Transaction, block: int) -> None:
-        """Install one contract's new state; every commit but a creation
-        passes here, which is what ``_HistoryRecorder`` hooks."""
-        self._contracts[address].state = state
-
-    def _include(self, tx: Transaction, seq: int, *, accepted: bool, reason: Optional[str],
-                 result: Optional[bytes] = None, created: tuple[Address, ...] = ()) -> CallReceipt:
-        self._log.append(LogEntry(tx, accepted, reason))
-        block = self._height
-        # one transaction per block: seal immediately
+        self._log.append(LogEntry(tx, True, None))
         self._height += 1
-        return CallReceipt(accepted, reason, block, seq, result, created)
+        for address, (contract_cls, state) in ctx.created.items():
+            self._contracts[address] = _ContractRecord(contract_cls, state, block)
+        committed = created = tuple(ctx.created)
+        if new_target_state is not None:
+            record.state = new_target_state
+            committed = (*committed, tx.target)
+        if ctx.staged:
+            for address, state in ctx.staged.items():
+                self._contracts[address].state = state
+            committed += tuple(ctx.staged)
+        return CallReceipt(True, None, block, seq, ctx.result, created, committed)
 
     # -- reading ------------------------------------------------------------
 
@@ -584,23 +572,24 @@ class Ledger:
         After it comes one entry per accepted transaction that committed the
         address, as its target or as a staged cross-contract change — even
         when the committed state equals the previous one.  Nothing stores
-        this: it is rebuilt by re-executing the log on a scratch ledger,
-        which costs O(log length) per call, so it is meant for audits and
-        tests, not for the transaction path.  Signatures are not checked
-        again (every logged transaction carries a valid one), and
-        rejected transactions are skipped, since a rejection commits nothing.
+        this: it is rebuilt by re-executing the log on a scratch ledger and
+        reading each receipt's ``committed`` addresses, which costs O(log
+        length) per call, so it is meant for audits and tests, not for the
+        transaction path.  Signatures are not checked again (every logged
+        transaction carries a valid one), and rejected transactions are
+        skipped, since a rejection commits nothing.
         """
         self._record(address)  # UnknownAddress for a stranger
-        scratch = _HistoryRecorder(address)
+        scratch = Ledger()
+        entries: list[HistoryEntry] = []
         for seq, entry in enumerate(self._log):
             if not entry.accepted:
                 continue
             scratch.advance_block(entry.tx.block - scratch.height)
             receipt = scratch._execute(entry.tx, seq, scratch._contracts.get(entry.tx.target))
-            if address in receipt.created:
-                scratch.entries.append(HistoryEntry(receipt.block, entry.tx,
-                                                    scratch.read_state(address)))
-        return scratch.entries
+            if address in receipt.committed:
+                entries.append(HistoryEntry(receipt.block, entry.tx, scratch.read_state(address)))
+        return entries
 
     def creation_block(self, address: Address) -> int:
         return self._record(address).created
@@ -712,21 +701,6 @@ class Ledger:
             if recorded != expected:
                 raise ReplayMismatch(f"state digest diverged at {recorded[0].hex()}")
         return ledger
-
-
-class _HistoryRecorder(Ledger):
-    """Scratch ledger for ``Ledger.history``: re-executes a log and keeps
-    every commit to one address."""
-
-    def __init__(self, address: Address) -> None:
-        super().__init__()
-        self.address = address
-        self.entries: list[HistoryEntry] = []
-
-    def _commit(self, address: Address, state: Any, tx: Transaction, block: int) -> None:
-        super()._commit(address, state, tx, block)
-        if address == self.address:
-            self.entries.append(HistoryEntry(block, tx, state))
 
 
 def _decode_export(data: bytes) -> tuple[int, list[tuple[bool, Transaction]], list[tuple[bytes, bytes]]]:

@@ -177,6 +177,11 @@ class ProtocolFuzzer:
         value = self.rng.randrange(0, 400)
         if self.rng.random() < 0.5:
             return accounts.propose_expiration(self.led, party, account.address, value)
+        # accept what is pending, so an expiration can move; no extra draw,
+        # so every seed's sequence of random draws stays the same
+        pending = self.led.read_state(account.address).pending_expiration
+        if pending is not None:
+            value = pending[0]
         return accounts.accept_expiration(self.led, party, account.address, value)
 
     def _op_mint(self) -> CallReceipt:

@@ -366,6 +366,28 @@ def test_sub_deploy_discarded_on_rejection(led, alice):
     assert set(led.addresses()) == before
 
 
+def test_a_receipt_names_what_its_transaction_committed(led, alice):
+    deployed = led.submit(make_transaction(alice, None, ProbeContract.KIND, b"init"))
+    a = deployed.created[0]
+    assert deployed.committed == (a,)
+    b = deploy_probe(led, alice)
+    assert led.call(alice, a, "set", b"x").committed == (a,)
+    # the transition returns None: only the staged peer is committed
+    assert led.call(alice, a, "poke_peer", b.digest + b"ok").committed == (b,)
+    spawned = led.call(alice, a, "spawn", b"ok")
+    assert spawned.committed == (Address(spawned.result),)
+
+
+def test_a_rejected_call_commits_nothing(led, alice):
+    a = deploy_probe(led, alice)
+    b = deploy_probe(led, alice)
+    for function, args in [("frobnicate", b""), ("poke_peer", b.digest + b"fail"),
+                           ("spawn", b"fail")]:
+        receipt = led.call(alice, a, function, args)
+        assert not receipt.accepted
+        assert receipt.committed == ()
+
+
 # -- history ---------------------------------------------------------------------
 
 

@@ -196,6 +196,7 @@ REPORT_INPUT_ERRORS = {
     "bad-trust": lambda files, argv: files["trust"].write_text("not json at all"),
     "bad-identity-hex": lambda files, argv: argv.__setitem__(1, "zz-not-hex"),
     "lone-from": lambda files, argv: argv.extend(["--from", "0"]),
+    "inverted-window": lambda files, argv: argv.extend(["--from", "100", "--to", "0"]),
 }
 
 
@@ -417,6 +418,17 @@ def test_disclose_refuses_to_withhold_an_account_outside_the_chain(capsys, tmp_p
     assert code == 2
     assert out == ""
     assert err == "--withhold names no account in alice's chain: 'nosuch', 'b-acct1'\n"
+    assert not any(path.exists() for path in outputs)
+
+
+def test_disclose_refuses_an_inverted_window(capsys, tmp_path):
+    outputs = [tmp_path / name for name in ("l", "b", "t")]
+    code, out, err = run_cli(capsys, "disclose", LIFECYCLE, "alice", "--window", "9", "3",
+                             "--ledger-out", outputs[0], "--bundle-out", outputs[1],
+                             "--trust-out", outputs[2])
+    assert code == 2
+    assert out == ""
+    assert err == "--window FROM must not be after TO\n"
     assert not any(path.exists() for path in outputs)
 
 

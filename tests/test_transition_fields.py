@@ -12,7 +12,7 @@ from pathlib import Path
 import helpers
 
 from creditchain import identity
-from creditchain.harness import run_scenario
+from creditchain.harness import SimWorld, run_scenario
 
 LIFECYCLE = Path(__file__).parent.parent / "scenarios" / "lifecycle.scn"
 
@@ -79,3 +79,31 @@ def test_transitions_keep_unwritten_fields():
     # the scenario accepts an expiration, the fuzzer decertifies: between
     # them every row of the table changes something at least once
     assert seen == WRITES.keys(), sorted(WRITES.keys() - seen)
+
+
+PENDING_PROPOSAL = """
+GENKEY cust
+GENKEY bank
+REGISTER cust US:CUST-1
+REGISTER bank US:BANK-1
+CEREMONY cust bank a1
+OPEN a1 500
+CEREMONY cust bank a2
+OPEN a2 500
+APPEND cust HEAD a1
+PROPOSE-EXP a1 institution 900
+APPEND cust a1 a2
+ACCEPT-EXP a1 customer 900
+"""
+
+
+def test_linking_keeps_a_pending_proposal():
+    """``a2`` is linked after ``a1`` while ``a1`` has a proposal pending, so
+    a ``set_next`` that dropped the proposal shows as a field it may not
+    write, checked even when the accept that follows is then refused."""
+    world = SimWorld()
+    try:
+        run_scenario(PENDING_PROPOSAL, world=world)
+    finally:
+        seen = _check_every_commit(world.ledger)
+    assert {("credit_account", "set_next"), ("credit_account", "accept_expiration")} <= seen
