@@ -190,6 +190,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.window_from is not None and args.window_from > args.window_to:
         print("--from must not be after --to", file=sys.stderr)
         return 2
+    if bundle.window is not None and bundle.window[0] > bundle.window[1]:
+        print("the bundle's window starts after it ends", file=sys.stderr)
+        return 2
     if identity_key != bundle.identity:
         print("bundle was issued for a different identity", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ only when one party proposes a value and the other accepts that same value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import codec, crypto, identity
 from .ledger import (
@@ -41,6 +41,9 @@ from .ledger import (
 DATA_MODE_INLINE = "inline"
 DATA_MODE_EXTERNAL = "external-hash"
 DATA_MODES = (DATA_MODE_INLINE, DATA_MODE_EXTERNAL)
+# Each mode's name as a data payload's first field holds it.
+_INLINE_TAG = codec.text(DATA_MODE_INLINE)
+_EXTERNAL_TAG = codec.text(DATA_MODE_EXTERNAL)
 
 
 class NoCommitment(Exception):
@@ -307,8 +310,11 @@ def accept_expiration(led: Ledger, caller: crypto.KeyPair, account: Address,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class DecodedPayload:
+class DecodedPayload(NamedTuple):
+    """A decoded data payload.  A named tuple rather than a frozen
+    dataclass: the reader decodes one per disclosed entry, and a named tuple
+    is built in about half the time."""
+
     mode: str
     inline: Optional[bytes] = None
     content_digest: Optional[bytes] = None
@@ -318,13 +324,12 @@ class DecodedPayload:
 def encode_data_payload(mode: str, plaintext: bytes,
                         blob_store: Optional["BlobStore"] = None) -> bytes:
     if mode == DATA_MODE_INLINE:
-        return codec.pack(codec.text(DATA_MODE_INLINE), plaintext)
+        return codec.pack(_INLINE_TAG, plaintext)
     if mode == DATA_MODE_EXTERNAL:
         if blob_store is None:
             raise ValueError("external-hash mode needs a blob store")
         blob_id = blob_store.put(plaintext)
-        return codec.pack(codec.text(DATA_MODE_EXTERNAL), crypto.digest(plaintext),
-                          codec.text(blob_id))
+        return codec.pack(_EXTERNAL_TAG, crypto.digest(plaintext), codec.text(blob_id))
     raise ValueError(f"unknown data mode {mode!r}")
 
 
@@ -333,14 +338,15 @@ def decode_data_payload(payload: bytes) -> DecodedPayload:
 
     Raises codec.DecodeError for an unknown mode, a mode or blob id that is
     not UTF-8, input that ends inside a field, and fields beyond the mode's.
+    A mode is told by its encoded bytes, which name it exactly since UTF-8
+    encodes each text one way.
     """
     fields = codec.split(payload)
+    if len(fields) == 2 and fields[0] == _INLINE_TAG:
+        return DecodedPayload(DATA_MODE_INLINE, fields[1])
+    if len(fields) == 3 and fields[0] == _EXTERNAL_TAG:
+        return DecodedPayload(DATA_MODE_EXTERNAL, None, fields[1], codec.decode_text(fields[2]))
     mode = codec.decode_text(fields[0]) if fields else ""
-    if mode == DATA_MODE_INLINE and len(fields) == 2:
-        return DecodedPayload(mode=mode, inline=fields[1])
-    if mode == DATA_MODE_EXTERNAL and len(fields) == 3:
-        return DecodedPayload(mode=mode, content_digest=fields[1],
-                              blob_id=codec.decode_text(fields[2]))
     if mode in DATA_MODES:
         raise codec.DecodeError(f"{mode} payload has {len(fields)} fields")
     raise codec.DecodeError(f"unknown payload mode {mode!r}")

@@ -14,11 +14,12 @@ stored on the ledger.  Internally this is a hybrid scheme (static-ephemeral
 X25519 agreement feeding ChaCha20-Poly1305) but nothing outside this module
 depends on that.
 
+Both key classes are slotted, so a key object carries no instance dict.
 Each ``PrivateKey`` derives and loads its Ed25519 and X25519 key objects,
-and the ``PublicKey`` they give, once, on first use, and keeps them for its
-own lifetime; they are not dataclass fields, so equality, hashing and
-``repr`` see only the secret.  A ``PublicKey`` likewise joins its two
-halves into the 64-byte form ``to_bytes`` returns once, on first use.
+and the ``PublicKey`` they give, once, on first use, and keeps them in
+slots for its own lifetime; those slots are left out of equality, hashing
+and ``repr``, which see only the secret.  A ``PublicKey`` likewise joins its
+two halves into the 64-byte form ``to_bytes`` returns once, on first use.
 
 A ``KeyPair``'s two halves always match: constructing one (directly or
 through ``dataclasses.replace``) whose public half is not the one its
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -93,17 +93,18 @@ def _derive(tag: bytes, *parts: bytes) -> bytes:
 class PublicKey:
     """Public half of a key pair: verification key plus encryption key."""
 
+    # ``_raw`` holds None, then from the first ``to_bytes`` on the joined
+    # halves: registry lookups, memo keys and bundle files ask for them again
+    # and again.  A slot but not a field, so equality, hashing, repr and
+    # dataclasses.replace ignore it.
+    __slots__ = ("signing", "encryption", "_raw")
     signing: bytes
     encryption: bytes
 
     def __post_init__(self) -> None:
         if len(self.signing) != 32 or len(self.encryption) != 32:
             raise CryptoError("public key halves must be 32 bytes each")
-
-    # The joined halves, kept on the instance by the first ``to_bytes``:
-    # registry lookups, memo keys and bundle files ask for them again and
-    # again.  Not a field, so equality, hashing and repr ignore it.
-    _raw = None
+        object.__setattr__(self, "_raw", None)
 
     def to_bytes(self) -> bytes:
         raw = self._raw
@@ -111,6 +112,11 @@ class PublicKey:
             raw = self.signing + self.encryption
             object.__setattr__(self, "_raw", raw)
         return raw
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild the key from its fields: the default for a
+        # slotted object sets each slot, which a frozen dataclass refuses
+        return PublicKey, (self.signing, self.encryption)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "PublicKey":
@@ -127,6 +133,12 @@ class PublicKey:
 class PrivateKey:
     """Private half: one master secret from which both halves derive."""
 
+    # The loaded key objects and the public key they give, each held in a
+    # slot, not a field, from its first use on; they die with the key object.
+    # The slots stay unset until then, not None: a key read from a bundle is
+    # built for its master secret alone, and setting three more slots would
+    # double the cost of building it.
+    __slots__ = ("master", "_ed25519", "_x25519", "_public")
     master: bytes
 
     def __post_init__(self) -> None:
@@ -136,31 +148,37 @@ class PrivateKey:
     def to_bytes(self) -> bytes:
         return self.master
 
+    def __reduce__(self) -> tuple:
+        # as PublicKey's; the copy loads its own key objects when first used
+        return PrivateKey, (self.master,)
+
     @classmethod
     def from_bytes(cls, raw: bytes) -> "PrivateKey":
         if len(raw) != 32:
             raise CryptoError("private key must be 32 bytes")
         return cls(raw)
 
-    # cached_property stores into the instance __dict__ directly, which a
-    # frozen dataclass allows; the cache dies with the key object.
-    @cached_property
     def _signing_key(self) -> Ed25519PrivateKey:
-        return Ed25519PrivateKey.from_private_bytes(_derive(b"signing-half", self.master))
+        key = getattr(self, "_ed25519", None)
+        if key is None:
+            key = Ed25519PrivateKey.from_private_bytes(_derive(b"signing-half", self.master))
+            object.__setattr__(self, "_ed25519", key)
+        return key
 
-    @cached_property
     def _encryption_key(self) -> X25519PrivateKey:
-        return X25519PrivateKey.from_private_bytes(_derive(b"encryption-half", self.master))
-
-    @cached_property
-    def _public_key(self) -> PublicKey:
-        return PublicKey(
-            self._signing_key.public_key().public_bytes_raw(),
-            self._encryption_key.public_key().public_bytes_raw(),
-        )
+        key = getattr(self, "_x25519", None)
+        if key is None:
+            key = X25519PrivateKey.from_private_bytes(_derive(b"encryption-half", self.master))
+            object.__setattr__(self, "_x25519", key)
+        return key
 
     def public_key(self) -> PublicKey:
-        return self._public_key
+        public = getattr(self, "_public", None)
+        if public is None:
+            public = PublicKey(self._signing_key().public_key().public_bytes_raw(),
+                               self._encryption_key().public_key().public_bytes_raw())
+            object.__setattr__(self, "_public", public)
+        return public
 
 
 @dataclass(frozen=True)
@@ -193,7 +211,7 @@ def generate_keypair(seed: bytes, role: str = ROLE_TRUE_IDENTITY) -> KeyPair:
 
 
 def sign(private: PrivateKey, message: bytes) -> bytes:
-    return private._signing_key.sign(message)
+    return private._signing_key().sign(message)
 
 
 def verify(public: PublicKey, message: bytes, signature: bytes) -> bool:
@@ -246,7 +264,7 @@ def decrypt(private: PrivateKey, ciphertext: bytes) -> bytes:
         raise WrongKey("ciphertext too short")
     eph_public, sealed = ciphertext[:32], ciphertext[32:]
     try:
-        shared = private._encryption_key.exchange(
+        shared = private._encryption_key().exchange(
             X25519PublicKey.from_public_bytes(eph_public)
         )
         key, nonce12 = _symmetric_parts(shared, eph_public)

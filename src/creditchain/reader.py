@@ -42,19 +42,21 @@ directly and never consult them.
 
 Bundles and trust sets travel as JSON files, written on one line with
 sorted keys: the bytes ``json.dumps(doc, sort_keys=True)`` gives.
-``trust_to_json`` calls the standard library.  ``bundle_to_json`` writes
-the text itself from the bundle field table below, without building a
-dict tree or calling the encoder: each format's key order and writers are
-settled into a template once, at import.  ``bundle_from_json`` and
-``trust_from_json`` parse with ``json.loads``, so they accept any JSON
-layout of the same document, including the indented files earlier versions
-wrote, and check its schema whatever the layout.  ``bundle_from_json``
-decodes each public key through one intern table, an LRU of
-``MEMO_ENTRIES`` entries that lives as long as the process: a key met in an
-earlier bundle comes back as the same immutable object, and a string that
-does not decode is never stored.  It stays below
-``KEY_TABLE_CEILING_BYTES``.  Private keys and addresses are decoded afresh
-each time, so no secret key object outlives its bundle.
+``trust_to_json`` calls the standard library.  Bundles are written and read
+through the bundle field table below, one row per field.  From that table
+one function per format and direction is settled once, at import: a writer
+that fills a %-template with each row's JSON text, without building a dict
+tree or calling the encoder, and a reader that builds the object from the
+dict ``json.loads`` gives, one argument expression per row, so neither runs
+a loop over the rows.  ``bundle_from_json`` and ``trust_from_json`` parse
+with ``json.loads``, so they accept any JSON layout of the same document,
+including the indented files earlier versions wrote, and check its schema
+whatever the layout.  ``bundle_from_json`` decodes each public key through
+one intern table, an LRU of ``MEMO_ENTRIES`` entries that lives as long as
+the process: a key met in an earlier bundle comes back as the same
+immutable object, and a string that does not decode is never stored.  It
+stays below ``KEY_TABLE_CEILING_BYTES``.  Private keys and addresses are
+decoded afresh each time, so no secret key object outlives its bundle.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 from . import codec, crypto
 from .credit_account import (
@@ -152,8 +154,12 @@ class DisclosureBundle:
     window: Optional[tuple[int, int]] = None
 
 
-@dataclass(frozen=True, slots=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
+    """One verified account.  A named tuple rather than a frozen dataclass:
+    a report builds one per disclosed entry, and a frozen dataclass sets
+    each of its eleven fields through ``object.__setattr__``, which takes
+    about four times as long."""
+
     address: Address
     creation_block: int
     expiration: int
@@ -191,8 +197,8 @@ MEMO_MAX_INPUT = 512
 MEMO_CEILING_BYTES = 3 * MEMO_ENTRIES * 1536
 # The bundle reader's identity-key intern table also holds MEMO_ENTRIES
 # entries: a 128-character hex string, the key and its halves, plus its
-# joined form once asked for, about 0.6 KiB (tracemalloc, CPython 3.11), so
-# the full table stays below KEY_TABLE_CEILING_BYTES, 4 MiB.
+# joined form once asked for, 541 bytes (tracemalloc, CPython 3.11), so the
+# full table stays below KEY_TABLE_CEILING_BYTES, 4 MiB.
 KEY_TABLE_CEILING_BYTES = MEMO_ENTRIES * 1024
 
 
@@ -502,19 +508,14 @@ def _public_from_hex(text: str) -> crypto.PublicKey:
 # (write, read) for its kind of value, required).  ``write`` gives the
 # value's JSON text and ``read`` takes the value json.loads gives back.  A
 # required key must be present and not null; any other may be absent or
-# null, read as None, and None is written as null.  An entry's rows follow
-# its class's field order, since a read entry is built from the values
+# null, read as None, and None is written as null.  Each table's rows follow
+# its class's field order, since a read object is built from the values
 # positionally.  Hex needs no JSON escape, so a quoted hex string is the
 # text json writes for it.
 _BYTES = (lambda b: f'"{b.hex()}"', bytes.fromhex)
 _ADDRESS = (lambda a: f'"{a.digest.hex()}"', lambda h: Address(bytes.fromhex(h)))
 _PUBLIC = (lambda k: f'"{k.to_bytes().hex()}"', _public_from_hex)
 _PRIVATE = (lambda k: f'"{k.master.hex()}"', lambda h: crypto.PrivateKey(bytes.fromhex(h)))
-_BUNDLE_FIELDS = (
-    ("identity", _PUBLIC, True),
-    ("head_nonce", _BYTES, False),
-    ("window", (lambda w: json.dumps(list(w)), _read_window), False),
-)
 _ENTRY_FORMATS = {
     "keys": (KeyDisclosure, (
         ("address", _ADDRESS, True),
@@ -535,6 +536,44 @@ _ENTRY_FORMATS = {
 }
 
 
+def _write_entries(entries: Sequence[DisclosureEntry]) -> str:
+    texts = []
+    for entry in entries:
+        texts.append(_WRITE_ENTRY[type(entry)](entry))
+    return "[" + ", ".join(texts) + "]"
+
+
+def _read_entries(value: Any) -> tuple[DisclosureEntry, ...]:
+    if not isinstance(value, list):
+        raise ValueError("entries must be a list of objects")
+    entries = []
+    for raw in value:
+        if not isinstance(raw, dict):
+            raise ValueError("entries must be a list of objects")
+        read = _READ_ENTRY.get(raw["variant"])
+        if read is None:
+            raise ValueError(f"unknown disclosure variant {raw['variant']!r}")
+        entries.append(read(raw))
+    return tuple(entries)
+
+
+_BUNDLE_FIELDS = (
+    ("identity", _PUBLIC, True),
+    ("entries", (_write_entries, _read_entries), True),
+    ("head_nonce", _BYTES, False),
+    ("window", (lambda w: json.dumps(list(w)), _read_window), False),
+)
+
+
+def _settled(expression: str, scope: dict[str, Any]) -> Callable[[Any], Any]:
+    """The function of one argument, ``obj``, that returns ``expression``,
+    with ``scope`` as its globals.  A writer's or reader's rows are settled
+    into one such expression once, at import, so that writing or reading an
+    object runs no loop over its rows and builds no list of their values."""
+    exec(f"def settled(obj):\n    return {expression}\n", scope)
+    return scope["settled"]
+
+
 def _object_writer(fields: tuple, fixed: dict[str, str]) -> Callable[[Any], str]:
     """A function giving an object's JSON text from its rows, plus the
     ``fixed`` keys, whose JSON text is the same for every object: the text
@@ -544,47 +583,41 @@ def _object_writer(fields: tuple, fixed: dict[str, str]) -> Callable[[Any], str]
     rows = sorted((key, write) for key, (write, _), _ in fields)
     items = [(key, "%s") for key, _ in rows]
     items += [(key, text.replace("%", "%%")) for key, text in fixed.items()]
-    template = "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in sorted(items)) + "}"
+    scope = {"template": "{" + ", ".join(f"{json.dumps(key)}: {text}"
+                                         for key, text in sorted(items)) + "}"}
+    texts = []
+    for i, (key, write) in enumerate(rows):
+        scope[f"write{i}"] = write
+        texts.append(f'"null" if (v{i} := obj.{key}) is None else write{i}(v{i})')
+    return _settled(f"template % ({', '.join(texts)},)", scope)
 
-    # Plain loops, not a comprehension or zip: each of those adds a live
-    # container that the garbage collector counts, and the more a report
-    # holds at once, the more often a collection falls inside it.
-    def write_object(obj: Any) -> str:
-        texts = []
-        for key, write in rows:
-            value = getattr(obj, key)
-            texts.append("null" if value is None else write(value))
-        return template % tuple(texts)
 
-    return write_object
+def _object_reader(cls: type, fields: tuple) -> Callable[[dict[str, Any]], Any]:
+    """The mirror of ``_object_writer``: a function building a ``cls`` from
+    the dict json.loads gives for it, each row's value read by the row's
+    ``read`` and passed positionally."""
+    scope: dict[str, Any] = {"cls": cls}
+    args = []
+    for i, (key, (_, read), required) in enumerate(fields):
+        scope[f"read{i}"] = read
+        if required:
+            args.append(f"read{i}(obj[{key!r}])")
+        else:
+            args.append(f"None if (v{i} := obj.get({key!r})) is None else read{i}(v{i})")
+    return _settled(f"cls({', '.join(args)})", scope)
 
 
 _WRITE_ENTRY = {cls: _object_writer(fields, {"variant": json.dumps(variant)})
                 for variant, (cls, fields) in _ENTRY_FORMATS.items()}
-
-
-def _write_entries(entries: Sequence[DisclosureEntry]) -> str:
-    texts = []
-    for entry in entries:
-        texts.append(_WRITE_ENTRY[type(entry)](entry))
-    return "[" + ", ".join(texts) + "]"
-
-
-_write_bundle = _object_writer((*_BUNDLE_FIELDS, ("entries", (_write_entries, None), True)), {})
+_READ_ENTRY = {variant: _object_reader(cls, fields)
+               for variant, (cls, fields) in _ENTRY_FORMATS.items()}
+_write_bundle = _object_writer(_BUNDLE_FIELDS, {})
+_read_bundle = _object_reader(DisclosureBundle, _BUNDLE_FIELDS)
 
 
 def bundle_to_json(bundle: DisclosureBundle) -> str:
     """The bundle file's text: one line, keys sorted."""
     return _write_bundle(bundle)
-
-
-def _read_fields(fields: tuple, doc: dict[str, Any]) -> list[Any]:
-    """The value of each row's key, in row order."""
-    values = []
-    for key, (_, read), required in fields:
-        value = doc[key] if required else doc.get(key)
-        values.append(read(value) if required or value is not None else None)
-    return values
 
 
 # What decoding an untrusted document can raise: bad JSON, hex or variant
@@ -598,27 +631,12 @@ _DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, IndexError,
 def bundle_from_json(text: str) -> DisclosureBundle:
     """Decode a bundle file; raises MalformedInput if it does not decode."""
     try:
-        return _bundle_from_doc(json.loads(text))
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a bundle must be a JSON object")
+        return _read_bundle(doc)
     except _DECODE_ERRORS as exc:
         raise MalformedInput(f"bundle does not decode: {type(exc).__name__} {exc}") from exc
-
-
-def _bundle_from_doc(doc: Any) -> DisclosureBundle:
-    if not isinstance(doc, dict):
-        raise ValueError("a bundle must be a JSON object")
-    if not isinstance(doc["entries"], list):
-        raise ValueError("entries must be a list of objects")
-    entries: list[DisclosureEntry] = []
-    for raw in doc["entries"]:
-        if not isinstance(raw, dict):
-            raise ValueError("entries must be a list of objects")
-        form = _ENTRY_FORMATS.get(raw["variant"])
-        if form is None:
-            raise ValueError(f"unknown disclosure variant {raw['variant']!r}")
-        cls, fields = form
-        entries.append(cls(*_read_fields(fields, raw)))
-    identity, head_nonce, window = _read_fields(_BUNDLE_FIELDS, doc)
-    return DisclosureBundle(identity, tuple(entries), head_nonce, window)
 
 
 def trust_to_json(trust_set: set[crypto.PublicKey]) -> str:

@@ -114,6 +114,12 @@ def test_entry_rows_follow_field_order(variant):
     assert [key for key, _, _ in fields] == [f.name for f in dataclasses.fields(cls)]
 
 
+def test_bundle_rows_follow_field_order():
+    """A read bundle is built from its row values positionally too."""
+    assert ([key for key, _, _ in reader._BUNDLE_FIELDS]
+            == [f.name for f in dataclasses.fields(reader.DisclosureBundle)])
+
+
 def _count_state_encodes(monkeypatch):
     """Route every contract kind's encode_state through a counter."""
     encoded = []

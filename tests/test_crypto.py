@@ -4,8 +4,10 @@ The digest oracle is hashlib itself; everything else is checked through
 round trips, cross-key negatives, and bit-flip sweeps.
 """
 
+import copy
 import dataclasses
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -220,27 +222,78 @@ def test_warm_key_still_refuses_tampered_ciphertext():
             crypto.decrypt(pair.private, bytes(bad))
 
 
-def test_cache_is_invisible_to_eq_hash_repr():
+def _filled_slots(key):
+    """The names of the slots ``key`` holds a value in."""
+    return {name for name in type(key).__slots__ if hasattr(key, name)}
+
+
+def test_key_objects_have_no_instance_dict():
+    pair = crypto.generate_keypair(b"slotted")
+    crypto.decrypt(pair.private, crypto.encrypt(pair.public, b"n", b"m"))
+    pair.public.to_bytes()
+    for key in (pair.public, pair.private):
+        assert not hasattr(key, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            key._raw = b"x"
+
+
+def test_private_key_loads_each_key_object_once(monkeypatch):
+    pair = crypto.generate_keypair(b"loaded once")
+    ciphertexts = [crypto.encrypt(pair.public, bytes([n]), b"m") for n in range(3)]
+    loads = []
+    for name in ("Ed25519PrivateKey", "X25519PrivateKey"):
+        real = getattr(crypto, name)
+
+        class Counting:
+            @staticmethod
+            def from_private_bytes(raw, _name=name, _real=real):
+                loads.append(_name)
+                return _real.from_private_bytes(raw)
+
+        monkeypatch.setattr(crypto, name, Counting)
+    key = crypto.PrivateKey(pair.private.master)
+    for ciphertext in ciphertexts:
+        assert crypto.decrypt(key, ciphertext) == b"m"
+        crypto.sign(key, b"m")
+        assert key.public_key() == pair.public
+    assert sorted(loads) == ["Ed25519PrivateKey", "X25519PrivateKey"]
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                    lambda key: pickle.loads(pickle.dumps(key))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_keys_copy_and_pickle_without_their_slot_cache(copier):
+    pair = crypto.generate_keypair(b"copied")
+    pair.public.to_bytes()
+    for key in (pair.public, pair.private):
+        copied = copier(key)
+        assert copied == key and type(copied) is type(key)
+    copied = copier(pair.private)
+    assert _filled_slots(copied) == {"master"}
+    assert crypto.sign(copied, b"m") == crypto.sign(pair.private, b"m")
+
+
+def test_slot_cache_is_invisible_to_eq_hash_repr():
     warm = crypto.generate_keypair(b"invisible").private
     cold = crypto.PrivateKey(warm.master)
-    assert {"_signing_key", "_encryption_key"} <= vars(warm).keys()
-    assert vars(cold) == {"master": warm.master}
+    assert _filled_slots(warm) == {"master", "_ed25519", "_x25519", "_public"}
+    assert _filled_slots(cold) == {"master"}
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
     assert [f.name for f in dataclasses.fields(warm)] == ["master"]
     replaced = dataclasses.replace(warm)
     assert replaced == warm
-    assert vars(replaced) == {"master": warm.master}
+    assert _filled_slots(replaced) == {"master"}
 
 
-def test_key_rebuilt_from_bytes_has_its_own_cache():
+def test_key_rebuilt_from_bytes_has_its_own_slot_cache():
     warm = crypto.generate_keypair(b"rebuilt").private
     rebuilt = crypto.PrivateKey.from_bytes(warm.to_bytes())
-    assert vars(rebuilt) == {"master": warm.master}
+    assert _filled_slots(rebuilt) == {"master"}
     assert crypto.sign(rebuilt, b"m") == crypto.sign(warm, b"m")
-    assert rebuilt._signing_key is not warm._signing_key
-    assert rebuilt._encryption_key is not warm._encryption_key
+    assert rebuilt._signing_key() is not warm._signing_key()
+    assert rebuilt._encryption_key() is not warm._encryption_key()
 
 
 # -- the key pair invariant ---------------------------------------------------
@@ -278,13 +331,13 @@ def test_generate_keypair_derives_the_public_key_once(monkeypatch):
     assert pair.private.public_key() is pair.public  # one object, held by both
 
 
-def test_public_key_bytes_are_joined_once_and_invisible():
+def test_public_key_bytes_are_joined_once_into_an_invisible_slot():
     warm = crypto.generate_keypair(b"joined once").public
     cold = crypto.PublicKey(warm.signing, warm.encryption)
     raw = warm.to_bytes()
     assert raw == warm.signing + warm.encryption
     assert warm.to_bytes() is raw
-    assert "_raw" not in vars(cold)
+    assert cold._raw is None
     assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
     assert [f.name for f in dataclasses.fields(warm)] == ["signing", "encryption"]
     assert crypto.PublicKey.from_bytes(raw) == warm

@@ -2,6 +2,7 @@
 variants, windows, and every way a bundle can lie."""
 
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -159,6 +160,33 @@ def test_window_verdict_is_check_windows(chain5_world):
                 assert report.window_satisfied == reader.check_window(report, *window)
                 verdicts.add(report.window_satisfied)
     assert verdicts == {True, False}
+
+
+# sha256 of every ReportEntry field, in field order, of the reports the
+# matrix below gives; no scenario transcript prints data_mode, external_id
+# or the whole external_digest, so this pins the fields it does not show
+REPORT_FIELDS_SHA256 = "cd525e158000190fac4bf0aa16922c5445a02c1cdb84d1b05139a32b1a437fbb"
+
+
+def test_every_report_field_is_pinned(chain5_world):
+    world = chain5_world
+    names = world.chain_names("cust")
+    blocks = [e.creation_block for e in assemble(world, world.build_bundle("cust")).entries]
+    windows = [(min(blocks), max(blocks)), (blocks[-1], blocks[-1]), (50, 10), (3, 9)]
+    withheld = [frozenset(), frozenset({names[0]}), frozenset({names[1]}), frozenset(names)]
+    rows = []
+    for window in windows:
+        for withhold in withheld:
+            for variant in ("keys", "plaintext"):
+                report = assemble(world, world.build_bundle("cust", variant=variant,
+                                                            window=window, withhold=withhold))
+                for e in report.entries:
+                    rows.append((e.address.digest, e.creation_block, e.expiration,
+                                 e.institution.to_bytes(), e.institution_trusted,
+                                 e.commitment_ok, e.disclosed, e.data_mode, e.data,
+                                 e.external_id, e.external_digest))
+    assert len(rows) == len(windows) * len(withheld) * 2 * len(names)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == REPORT_FIELDS_SHA256
 
 
 # -- lying bundles -----------------------------------------------------------------

@@ -142,6 +142,29 @@ def test_report_flags_withheld_window(capsys, tmp_path):
     assert "window not satisfied" in out
 
 
+def test_report_refuses_a_bundle_whose_window_is_inverted(capsys, monkeypatch, tmp_path):
+    """A bundle's own window that starts after it ends is refused before
+    the replay, as an inverted --from/--to is, rather than read as an empty
+    window that every report satisfies."""
+    paths = [tmp_path / name for name in ("ledger.bin", "bundle.json", "trust.json")]
+    ledger, bundle, trust = paths
+    code, out, _ = run_cli(capsys, "disclose", LIFECYCLE, "alice", "--withhold", "a-acct2",
+                           "--ledger-out", ledger, "--bundle-out", bundle, "--trust-out", trust)
+    assert code == 0
+    identity_hex = out.splitlines()[0].split(": ")[1]
+    bundle.write_text(_edit(lambda doc: doc.update(window=[100, 0]))(bundle.read_text()))
+
+    def refuse(data):
+        raise AssertionError("the ledger was replayed before the window was checked")
+
+    monkeypatch.setattr(Ledger, "replay", refuse)
+    code, out, err = run_cli(capsys, "report", identity_hex,
+                             "--ledger", ledger, "--bundle", bundle, "--trust", trust)
+    assert code == 2
+    assert out == ""
+    assert err == "the bundle's window starts after it ends\n"
+
+
 def test_report_rejects_tampered_bundle(capsys, tmp_path, disclosure_files):
     ledger, bundle, trust, identity_hex = disclosure_files
     doc = json.loads(bundle.read_text())
