@@ -8,7 +8,8 @@ list); ``report`` plays that reader, verifying the bundle against the
 ledger bytes with nothing but public information plus the bundle itself;
 ``replay`` and ``export-ledger`` round-trip ledger history.
 
-Exit codes: 0 all good, 1 verification or expectation failure, 2 usage.
+Exit codes: 0 all good, 1 verification or expectation failure, an
+unreadable input file or an unwritable output path, 2 usage.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ def _replay(path: Path) -> Ledger:
         return Ledger.replay(path.read_bytes())
     except ReplayMismatch as exc:
         print(f"REPLAY FAILED: {exc}", file=sys.stderr)
+        raise _Failed from exc
+
+
+def _write(path: Path, data: bytes) -> None:
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         raise _Failed from exc
 
 
@@ -120,7 +129,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 1
         print(f"audits passed: {', '.join(names)}")
     if args.export_ledger:
-        args.export_ledger.write_bytes(result.world.ledger.export())
+        _write(args.export_ledger, result.world.ledger.export())
         print(f"ledger written to {args.export_ledger} "
               f"(height {result.world.ledger.height})")
     return 0
@@ -161,9 +170,9 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
     window = tuple(args.window) if args.window else None
     bundle = world.build_bundle(args.customer, args.variant, window=window,
                                 withhold=frozenset(args.withhold))
-    args.ledger_out.write_bytes(world.ledger.export())
-    args.bundle_out.write_text(reader.bundle_to_json(bundle), encoding="utf-8")
-    args.trust_out.write_text(reader.trust_to_json(world.trust_set()), encoding="utf-8")
+    _write(args.ledger_out, world.ledger.export())
+    _write(args.bundle_out, reader.bundle_to_json(bundle).encode("utf-8"))
+    _write(args.trust_out, reader.trust_to_json(world.trust_set()).encode("utf-8"))
     print(f"identity: {world.actor(args.customer).public.to_bytes().hex()}")
     print(f"wrote {args.ledger_out}, {args.bundle_out}, {args.trust_out}")
     return 0
@@ -236,7 +245,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     ledger = _run_scenario(args.scenario).world.ledger
-    args.out.write_bytes(ledger.export())
+    _write(args.out, ledger.export())
     print(f"ledger written to {args.out} (height {ledger.height})")
     return 0
 

@@ -2,8 +2,8 @@
 
 The ledger keeps a log of signed transactions, one per block, and the
 current state of each contract; nothing else.  Blocks are implicit: the
-height is a counter, each transaction records the block it landed in, and
-``advance_block`` skips empty blocks in O(1) so tests can position
+height is a counter, each log entry records the block its transaction landed
+in, and ``advance_block`` skips empty blocks in O(1) so tests can position
 height-sensitive operations (expirations) precisely.  The block list is
 rebuilt from the log and a contract's state history by re-executing it.
 
@@ -19,13 +19,6 @@ Transitions must do a bounded amount of work per call: table lookups and a
 fixed number of cross-contract reads, never iteration over a whole chain or
 registry.  Anything that walks linked structures belongs to the off-chain
 reader helpers, not in here.
-
-Who stamps the block.  ``call`` and ``deploy`` sign each transaction with
-the open block already in it, so ``submit`` logs that very object.  The
-block is not part of the signed payload (``signing_payload``): signatures,
-exports and transcripts do not depend on when a transaction was signed.  A
-transaction that arrives with another block, such as a foreign one made with
-``make_transaction``'s default ``block=-1``, is logged with the open block.
 
 Who verifies what.  Every transaction enters through ``submit``.  A
 transaction someone else signed has its signature checked against the caller
@@ -62,7 +55,7 @@ import io
 import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache
 from typing import Any, ClassVar, Optional, Protocol
 
@@ -159,7 +152,6 @@ class Transaction:
     function: str
     args: bytes
     signature: bytes
-    block: int = -1
 
     def is_deploy(self) -> bool:
         return self.target is None
@@ -175,20 +167,9 @@ def signing_payload(caller: bytes, target: Optional[Address], function: str, arg
     return codec.pack(b"transaction", caller, target_bytes, codec.text(function), args)
 
 
-def make_transaction(
-    caller: crypto.KeyPair,
-    target: Optional[Address],
-    function: str,
-    args: bytes,
-    block: int = -1,
-) -> Transaction:
-    """Sign a transaction with ``caller``'s private key.
-
-    ``block`` is where the transaction is meant to land; ``Ledger.call`` and
-    ``deploy`` pass the open block.  It is not signed, so the signature is
-    the same for any block, and ``submit`` logs a transaction whose block is
-    not the open one (the default ``-1``, say) with the open block.
-    """
+def make_transaction(caller: crypto.KeyPair, target: Optional[Address], function: str, args: bytes) -> Transaction:
+    """Sign a transaction with ``caller``'s private key.  It names no block:
+    the log entry records where ``submit`` lands it."""
     caller_key = caller.public.to_bytes()
     return Transaction(
         caller=caller_key,
@@ -196,7 +177,6 @@ def make_transaction(
         function=function,
         args=args,
         signature=crypto.sign(caller.private, signing_payload(caller_key, target, function, args)),
-        block=block,
     )
 
 
@@ -207,6 +187,8 @@ class CallReceipt:
     block: int
     seq: int
     result: Optional[bytes] = None
+    # every address the transaction created; a deployment lists the
+    # contract it deployed first, then any its constructor deployed
     created: tuple[Address, ...] = ()
     # every address the transaction committed: those it created, then its
     # target if the transition returned a state, then those it staged
@@ -222,8 +204,10 @@ class HistoryEntry:
 
 @dataclass(frozen=True, slots=True)
 class LogEntry:
-    """One logged transaction; its sequence number is its index in the log."""
+    """One logged transaction and the block it landed in; its sequence
+    number is its index in the log."""
 
+    block: int
     tx: Transaction
     accepted: bool
     reason: Optional[str]
@@ -359,7 +343,7 @@ class CallContext:
 
 
 def _block_of(entry: LogEntry) -> int:
-    return entry.tx.block
+    return entry.block
 
 
 class _Blocks(Sequence):
@@ -443,7 +427,7 @@ class Ledger:
 
     def deploy(self, caller: crypto.KeyPair, kind: str, init_args: bytes) -> Address:
         """Sign a deployment with ``caller`` and submit it, as ``call`` does."""
-        receipt = self._submit_own(make_transaction(caller, None, kind, init_args, self._height))
+        receipt = self._submit_own(make_transaction(caller, None, kind, init_args))
         return receipt.created[0]
 
     def call(self, caller: crypto.KeyPair, target: Address, function: str, args: bytes) -> CallReceipt:
@@ -453,7 +437,7 @@ class Ledger:
         construction, so a signature its private half makes always verifies
         under its public half.  Raises UnknownAddress like ``submit``.
         """
-        return self._submit_own(make_transaction(caller, target, function, args, self._height))
+        return self._submit_own(make_transaction(caller, target, function, args))
 
     def _submit_own(self, tx: Transaction) -> CallReceipt:
         """Submit ``tx``, just signed with a KeyPair by ``call``/``deploy``.
@@ -502,8 +486,6 @@ class Ledger:
         block, and commit its changes if the transition accepted it.
         ``record`` is the target's, or None for a deployment.  This is the
         one place that writes the log or a contract's state."""
-        if tx.block != self._height:  # own, logged and decoded ones already carry it
-            tx = replace(tx, block=self._height)
         ctx = CallContext(self, tx, seq, tx.target)
         block = self._height
         try:
@@ -511,18 +493,21 @@ class Ledger:
                 cls = CONTRACT_KINDS.get(tx.function)
                 if cls is None:
                     raise ConstructorRejected(f"UnknownKind({tx.function})")
-                ctx.created[derive_address(tx.caller, seq, 0)] = (cls, cls.construct(ctx, tx.args))
+                # the constructor runs first and may deploy children into
+                # ``ctx.created``; the deployed contract goes ahead of them
+                ctx.created = {derive_address(tx.caller, seq, 0): (cls, cls.construct(ctx, tx.args)),
+                               **ctx.created}
                 new_target_state = None
             else:
                 new_target_state = record.cls.apply(record.state, ctx, tx.function, tx.args)
         except ContractRejected as exc:
-            self._log.append(LogEntry(tx, False, exc.reason))
+            self._log.append(LogEntry(block, tx, False, exc.reason))
             self._height += 1  # one transaction per block: seal immediately
             if tx.is_deploy():
                 raise
             return CallReceipt(False, exc.reason, block, seq)
 
-        self._log.append(LogEntry(tx, True, None))
+        self._log.append(LogEntry(block, tx, True, None))
         self._height += 1
         for address, (contract_cls, state) in ctx.created.items():
             self._contracts[address] = _ContractRecord(contract_cls, state, block)
@@ -585,7 +570,7 @@ class Ledger:
         for seq, entry in enumerate(self._log):
             if not entry.accepted:
                 continue
-            scratch.advance_block(entry.tx.block - scratch.height)
+            scratch.advance_block(entry.block - scratch.height)
             receipt = scratch._execute(entry.tx, seq, scratch._contracts.get(entry.tx.target))
             if address in receipt.committed:
                 entries.append(HistoryEntry(receipt.block, entry.tx, scratch.read_state(address)))
@@ -642,7 +627,7 @@ class Ledger:
         write(codec.u32(len(self._log)))
         for entry in self._log:
             tx = entry.tx
-            write(codec.u64(tx.block))
+            write(codec.u64(entry.block))
             write(codec.u8(0 if entry.accepted else 1))
             write(codec.u8(1 if tx.is_deploy() else 0))
             codec.write_blob(write, tx.caller)
@@ -676,10 +661,10 @@ class Ledger:
             raise ReplayMismatch(f"malformed export: {exc}") from exc
 
         ledger = cls()
-        for i, (rejected, tx) in enumerate(records):
-            if tx.block < ledger.height:
+        for i, (block, rejected, tx) in enumerate(records):
+            if block < ledger.height:
                 raise ReplayMismatch(f"transaction {i} block number out of order")
-            ledger.advance_block(tx.block - ledger.height)
+            ledger.advance_block(block - ledger.height)
             try:
                 receipt = ledger.submit(tx)
                 accepted = receipt.accepted
@@ -703,8 +688,8 @@ class Ledger:
         return ledger
 
 
-def _decode_export(data: bytes) -> tuple[int, list[tuple[bool, Transaction]], list[tuple[bytes, bytes]]]:
-    """Split an export into (final height, [(rejected, tx)], [(address, digest)]).
+def _decode_export(data: bytes) -> tuple[int, list[tuple[int, bool, Transaction]], list[tuple[bytes, bytes]]]:
+    """Split an export into (final height, [(block, rejected, tx)], [(address, digest)]).
 
     Accepts only the canonical encoding ``Ledger.export`` writes: flags are
     0 or 1 and a deployment has an empty target.  Layout errors raise
@@ -740,8 +725,8 @@ def _decode_export(data: bytes) -> tuple[int, list[tuple[bool, Transaction]], li
             target = targets[target_raw] = Address(target_raw)
         tx = Transaction(caller=callers.setdefault(caller, caller), target=target,
                          function=functions.setdefault(function, function),
-                         args=args, signature=signature, block=block)
-        records.append((bool(rejected), tx))
+                         args=args, signature=signature)
+        records.append((block, bool(rejected), tx))
     footer = [(reader.blob(), reader.blob()) for _ in range(reader.u32())]
     reader.expect_end()
     return final_height, records, footer

@@ -25,7 +25,7 @@ def _run_with_oracle(seed, min_calls=50):
     fuzzer = helpers.ProtocolFuzzer(seed)
     led = fuzzer.led
     # the registry and the factory are deployed before the fuzzer returns
-    oracle = {address: [(entry.tx.block, entry.tx, led.read_state(address))]
+    oracle = {address: [(entry.block, entry.tx, led.read_state(address))]
               for address, entry in zip((fuzzer.registry, fuzzer.factory), led.log)}
     counts = {"idempotent": 0, "staged": 0}
     while len(led.log) < min_calls:
@@ -33,11 +33,11 @@ def _run_with_oracle(seed, min_calls=50):
         fuzzer.step()
         if len(led.log) == logged or not led.log[-1].accepted:
             continue
-        tx = led.log[-1].tx
+        block, tx = led.log[-1].block, led.log[-1].tx
         after = _snapshot(led)
         changed = {a for a, state in after.items() if before.get(a) is not after[a]}
         for address in changed | ({tx.target} if tx.target else set()):
-            oracle.setdefault(address, []).append((tx.block, tx, after[address]))
+            oracle.setdefault(address, []).append((block, tx, after[address]))
         if tx.target is not None and tx.target not in changed:
             counts["idempotent"] += 1
         if changed - {tx.target} - (after.keys() - before.keys()):

@@ -208,7 +208,7 @@ def test_every_transition_leaves_its_input_state_unchanged(world):
         (alice, "set_first_credit_account", b"ciphertext"),
         (alice, "set_first_public_record", record.digest),
     ]:
-        tx = make_transaction(caller, registry, function, args, led.height)
+        tx = make_transaction(caller, registry, function, args)
         ctx = CallContext(led, tx, len(led.log), registry)
         assert IdentityContract.apply(state, ctx, function, args) != state
         assert state.records == records and state.fingerprint_index == index

@@ -24,6 +24,7 @@ from creditchain.ledger import (
     Ledger,
     ReplayMismatch,
     UnknownAddress,
+    derive_address,
     make_transaction,
     register_contract,
 )
@@ -42,6 +43,8 @@ class ProbeContract:
     def construct(ctx, args):
         if args == b"fail":
             raise ConstructorRejected("ProbeConstructorNo")
+        if args == b"spawn":
+            ctx.deploy(ProbeContract.KIND, b"child")
         return ProbeState(value=args)
 
     @staticmethod
@@ -296,38 +299,41 @@ def test_every_logged_call_verifies_under_its_caller(seed, calls):
     assert all(entry.tx.caller == caller.public.to_bytes() for entry in replayed.log)
 
 
-# -- the block a transaction is signed with ----------------------------------------
-
-
-def test_the_block_is_not_signed(alice):
-    addr = Address(crypto.digest(b"anywhere"))
-    unstamped = make_transaction(alice, addr, "set", b"x")
-    stamped = make_transaction(alice, addr, "set", b"x", block=7)
-    assert (unstamped.block, stamped.block) == (-1, 7)
-    assert stamped.signature == unstamped.signature
+# -- the block a transaction lands in ----------------------------------------------
 
 
 def test_a_call_is_logged_with_its_receipt_block(led, alice):
     addr = deploy_probe(led, alice)
     led.advance_block(4)
     receipt = led.call(alice, addr, "set", b"x")
-    assert led.log[-1].tx.block == receipt.block == 5
-    assert [entry.tx.block for entry in led.log] == [0, 5]
+    assert led.log[-1].block == receipt.block == 5
+    assert [entry.block for entry in led.log] == [0, 5]
 
 
-@pytest.mark.parametrize("block", [-1, 0, 99])
-def test_a_foreign_transaction_is_logged_with_the_open_block(led, alice, block):
+def test_a_foreign_transaction_is_logged_with_the_open_block(led, alice):
     addr = deploy_probe(led, alice)
     led.advance_block(2)
-    tx = make_transaction(alice, addr, "set", b"x", block=block)
+    tx = make_transaction(alice, addr, "set", b"x")
     receipt = led.submit(tx)
-    logged = led.log[-1].tx
+    logged = led.log[-1]
     assert logged.block == receipt.block == 3
-    assert replace(logged, block=block) == tx
+    assert logged.tx == tx
     data = led.export()
     replayed = Ledger.replay(data)
     assert replayed.export() == data
-    assert [entry.tx for entry in replayed.log] == [entry.tx for entry in led.log]
+    assert [(entry.block, entry.tx) for entry in replayed.log] == \
+        [(entry.block, entry.tx) for entry in led.log]
+
+
+def test_one_signed_transaction_is_logged_as_is_at_each_height(led, alice):
+    addr = deploy_probe(led, alice)
+    tx = make_transaction(alice, addr, "set", b"x")
+    led.submit(tx)
+    led.advance_block(3)
+    led.submit(tx)
+    first, second = led.log[1:]
+    assert first.tx is tx and second.tx is tx
+    assert (first.block, second.block) == (1, 5)
 
 
 # -- staged cross-contract updates ----------------------------------------------
@@ -356,6 +362,20 @@ def test_sub_deploy_commits_with_result(led, alice):
     child = Address(receipt.result)
     assert child in receipt.created
     assert led.read_state(child) == ProbeState(b"child")
+
+
+def test_deploy_returns_the_contract_it_deployed_ahead_of_its_children(led, alice):
+    addr = deploy_probe(led, alice, b"spawn")
+    assert led.read_state(addr) == ProbeState(b"spawn")
+    receipt = led.submit(make_transaction(alice, None, ProbeContract.KIND, b"spawn"))
+    parent, child = receipt.created
+    assert parent == derive_address(alice.public.to_bytes(), receipt.seq, 0)
+    assert child == derive_address(alice.public.to_bytes(), receipt.seq, 1)
+    assert receipt.committed == receipt.created
+    assert led.read_state(parent) == ProbeState(b"spawn")
+    assert led.read_state(child) == ProbeState(b"child")
+    assert [h.state for h in led.history(parent)] == [ProbeState(b"spawn")]
+    assert Ledger.replay(led.export()).state_digests() == led.state_digests()
 
 
 def test_sub_deploy_discarded_on_rejection(led, alice):
@@ -587,7 +607,7 @@ def test_block_view_matches_blocks_rebuilt_by_a_full_pass(alice):
     led = busy_ledger()
     expected = [[] for _ in range(led.height + 1)]
     for entry in led.log:
-        expected[entry.tx.block].append(entry)
+        expected[entry.block].append(entry)
     blocks = led.blocks
     assert list(blocks) == expected
     assert blocks[2:7:2] == expected[2:7:2]

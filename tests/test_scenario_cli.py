@@ -59,6 +59,17 @@ def test_run_missing_file(capsys, tmp_path):
     assert "cannot read input" in err
 
 
+def test_a_failed_write_says_so(capsys, tmp_path):
+    missing = tmp_path / "absent" / "ledger.bin"
+    for argv in (["disclose", LIFECYCLE, "alice", "--ledger-out", missing,
+                  "--bundle-out", tmp_path / "bundle.json", "--trust-out", tmp_path / "trust.json"],
+                 ["run", LIFECYCLE, "--quiet", "--no-audit", "--export-ledger", missing],
+                 ["export-ledger", missing, "--scenario", LIFECYCLE]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("cannot write output: ") and str(missing) in err
+
+
 def test_attack_single_suite(capsys):
     code, out, _ = run_cli(capsys, "attack", "sybil")
     assert code == 0

@@ -120,7 +120,7 @@ def test_registry_writes_do_not_copy(copies):
     assert identity.certify(led, registry, certifier, customers[1].public).accepted
     assert copies == []
     late = crypto.generate_keypair(b"late")
-    tx = make_transaction(late, registry, "register", b"fp late", led.height)
+    tx = make_transaction(late, registry, "register", b"fp late")
     after = IdentityContract.apply(saved, CallContext(led, tx, len(led.log), registry),
                                    "register", b"fp late")
     assert copies == [2000]
