@@ -310,13 +310,23 @@ def test_a_call_is_logged_with_its_receipt_block(led, alice):
     assert [entry.block for entry in led.log] == [0, 5]
 
 
-def test_a_foreign_transaction_is_logged_with_the_open_block(led, alice):
+@pytest.mark.parametrize("advance", [-1, 0, 99])
+def test_a_foreign_transaction_is_logged_with_the_open_block(led, alice, advance):
+    # Signed before the chain moves on: the signature fixes no block, so the
+    # transaction lands in whatever block is open when it is submitted, also
+    # after an advance the ledger refused.
     addr = deploy_probe(led, alice)
-    led.advance_block(2)
     tx = make_transaction(alice, addr, "set", b"x")
+    if advance < 0:
+        with pytest.raises(ValueError):
+            led.advance_block(advance)
+    else:
+        led.advance_block(advance)
+    open_block = led.height
+    assert open_block == 1 + max(advance, 0)
     receipt = led.submit(tx)
     logged = led.log[-1]
-    assert logged.block == receipt.block == 3
+    assert logged.block == receipt.block == open_block
     assert logged.tx == tx
     data = led.export()
     replayed = Ledger.replay(data)
