@@ -8,8 +8,11 @@ untrusted author appending junk to a public list, a customer padding their
 own chain) are counted separately as ``allowed_by_design`` — the defence
 against those lives in the reader, and the suites check that too.
 
-The suites are deterministic for a given seed; the fuzzing randomness comes
-from ``random.Random`` keyed off the seed digest.
+Every suite builds its world from the same three steps (enrol an actor,
+start a subject's record list, file a record after a list's tail), so what a
+suite spells out is its attacks.  The suites are deterministic for a given
+seed; the fuzzing randomness comes from ``random.Random`` keyed off the seed
+digest.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ class _Tally:
         self.notes: list[str] = []
 
     def expect_reject(self, label: str, reason: str, action) -> None:
-        """Rejected calls come back as receipts; rejected deploys and bad
-        signatures raise.  Either way the reason must match exactly."""
+        """Rejected calls come back as receipts; rejected deploys, bad
+        signatures and decryptions under the wrong key raise.  Either way
+        the reason must match exactly."""
         self.attempts += 1
         try:
             result = action()
@@ -71,6 +75,8 @@ class _Tally:
             got, outcome = exc.reason, f"rejected with {exc.reason}"
         except BadSignature:
             got = outcome = "BadSignature"
+        except crypto.WrongKey:
+            got = outcome = "WrongKey"
         else:
             if isinstance(result, CallReceipt) and not result.accepted:
                 got, outcome = result.reason, f"rejected with {result.reason}"
@@ -87,15 +93,6 @@ class _Tally:
             self.failures.append(f"{label}: came back true")
         else:
             self.blocked += 1
-
-    def expect_wrong_key(self, label: str, action) -> None:
-        self.attempts += 1
-        try:
-            action()
-        except crypto.WrongKey:
-            self.blocked += 1
-            return
-        self.failures.append(f"{label}: decryption succeeded with the wrong key")
 
     def check(self, label: str, condition: bool) -> None:
         if not condition:
@@ -118,6 +115,31 @@ def _list_shape(led: Ledger, registry: Address, subject: crypto.PublicKey) -> tu
     return tuple(address.digest for address, _ in public_records.walk_public_records(led, first))
 
 
+def _enrol(world: SimWorld, name: str, fingerprint: str) -> tuple[crypto.KeyPair, CallReceipt]:
+    """A new actor, with its key registered under the fingerprint of the
+    text ``fingerprint``."""
+    actor = world.add_actor(name)
+    return actor, identity.register(world.ledger, world.registry, actor,
+                                    identity.fingerprint_from_text(fingerprint))
+
+
+def _start_list(world: SimWorld, subject: crypto.KeyPair, text: bytes) -> Address:
+    """Start the subject's public-record list with a marker of its own."""
+    marker = public_records.mint_record(world.ledger, world.factory, subject)
+    public_records.fill_record(world.ledger, subject, marker, text)
+    identity.set_first_public_record(world.ledger, world.registry, subject, marker)
+    return marker
+
+
+def _file(world: SimWorld, author: crypto.KeyPair, tail: Address, data: bytes,
+          *fill_args, **fill_kwargs) -> tuple[Address, CallReceipt]:
+    """Mint a record, fill it and append it after ``tail``; extra arguments
+    go to ``fill_record``."""
+    record = public_records.mint_record(world.ledger, world.factory, author)
+    public_records.fill_record(world.ledger, author, record, data, *fill_args, **fill_kwargs)
+    return record, public_records.append_record(world.ledger, author, tail, record)
+
+
 # ---------------------------------------------------------------------------
 # Suite 1: sybil — fake identities flooding the registry
 # ---------------------------------------------------------------------------
@@ -134,18 +156,14 @@ def sybil(count: int = 100, seed: bytes = b"attack-sybil") -> AttackReport:
     world = SimWorld(seed=codec.pack(b"attack-world", seed))
     led, registry = world.ledger, world.registry
 
-    authority = world.add_actor("authority")
-    honest = world.add_actor("honest-customer")
-    identity.register(led, registry, authority, identity.fingerprint_from_text("ST:AUTH-1"))
-    identity.register(led, registry, honest, identity.fingerprint_from_text("ST:H-1"))
+    authority, _ = _enrol(world, "authority", "ST:AUTH-1")
+    honest, _ = _enrol(world, "honest-customer", "ST:H-1")
     identity.certify(led, registry, authority, honest.public)
     trust = {authority.public}
 
     fakes = []
     for i in range(count):
-        fake = world.add_actor(f"sybil-{i}")
-        fingerprint = identity.fingerprint_from_text(f"ST:FAKE-{i}")
-        receipt = identity.register(led, registry, fake, fingerprint)
+        fake, receipt = _enrol(world, f"sybil-{i}", f"ST:FAKE-{i}")
         tally.check(f"sybil {i} registered", receipt.accepted)
         fakes.append(fake)
     tally.allowed += count
@@ -166,9 +184,8 @@ def sybil(count: int = 100, seed: bytes = b"attack-sybil") -> AttackReport:
 
     # identity multiplication: a person with a trusted key asks the authority
     # to certify a second key under the same fingerprint
-    second = world.add_actor("honest-second-key")
+    second, _ = _enrol(world, "honest-second-key", "ST:H-1")
     fingerprint = identity.fingerprint_from_text("ST:H-1")
-    identity.register(led, registry, second, fingerprint)
     challenge = crypto.digest(b"prove-it")
     response = identity.identity_challenge(second, challenge)
     state = led.read_state(registry)
@@ -195,25 +212,16 @@ def pointer_poison(attempts: int = 60, seed: bytes = b"attack-poison") -> Attack
     led, registry, factory = world.ledger, world.registry, world.factory
     rng = _rng(seed, "pointer-poison")
 
-    victim = world.add_actor("victim")
-    attacker = world.add_actor("attacker")
-    accomplice = world.add_actor("accomplice")
-    for actor, tag in ((victim, "V"), (attacker, "A"), (accomplice, "C")):
-        identity.register(led, registry, actor, identity.fingerprint_from_text(f"ST:{tag}"))
+    victim, _ = _enrol(world, "victim", "ST:V")
+    attacker, _ = _enrol(world, "attacker", "ST:A")
+    accomplice, _ = _enrol(world, "accomplice", "ST:C")
 
-    # victim list: self-authored marker, head-set
-    marker = public_records.mint_record(led, factory, victim)
-    public_records.fill_record(led, victim, marker, b"list start")
-    identity.set_first_public_record(led, registry, victim, marker)
+    marker = _start_list(world, victim, b"list start")
     tail = marker
 
     # attacker's own list (for the already-added variant)
-    own_marker = public_records.mint_record(led, factory, attacker)
-    public_records.fill_record(led, attacker, own_marker, b"attacker list")
-    identity.set_first_public_record(led, registry, attacker, own_marker)
-    recycled = public_records.mint_record(led, factory, attacker)
-    public_records.fill_record(led, attacker, recycled, b"recycled")
-    public_records.append_record(led, attacker, own_marker, recycled)
+    own_marker = _start_list(world, attacker, b"attacker list")
+    recycled, _ = _file(world, attacker, own_marker, b"recycled")
     tally.allowed += 1  # appending to one's own list is legal
 
     # a rogue factory and a loose victim-authored record for variants c and e
@@ -227,58 +235,49 @@ def pointer_poison(attempts: int = 60, seed: bytes = b"attack-poison") -> Attack
 
     expected_shape = list(_list_shape(led, registry, victim.public))
 
-    variants = ["garbage", "wrong-kind", "foreign-factory", "unminted",
-                "foreign-author", "already-added", "smuggled-tail", "head-grab"]
+    def smuggled_front() -> Address:
+        front = public_records.mint_record(led, factory, attacker)
+        cargo = public_records.mint_record(led, factory, attacker)
+        public_records.append_record(led, attacker, front, cargo)  # accepted: front is loose
+        tally.allowed += 1
+        return front
+
+    # each bad link: how to build it when its variant comes up, and the
+    # reason the append must fail with
+    bad_links = {
+        "garbage": (lambda: Address(rng.randbytes(crypto.DIGEST_SIZE)), "InvalidRecord(1)"),
+        "wrong-kind": (lambda: account, "InvalidRecord(1)"),
+        "foreign-factory": (lambda: public_records.mint_record(led, rogue_factory, attacker),
+                            "InvalidRecord(1)"),
+        "unminted": (lambda: led.deploy(attacker, public_records.PublicRecordContract.KIND,
+                                        codec.pack(attacker.public.to_bytes(), factory.digest)),
+                     "InvalidRecord(1)"),
+        "foreign-author": (lambda: loose_of_victim, "InvalidRecord(2)"),
+        "already-added": (lambda: recycled, "InvalidRecord(3)"),
+        "smuggled-tail": (smuggled_front, "InvalidRecord(4)"),
+    }
+    variants = [*bad_links, "head-grab"]
     honest_count = 0
     for i in range(attempts):
         # interleave: every few rounds an honest authority extends the list,
         # so the attacks also run against a moving tail
         if i % 5 == 4:
-            filed = public_records.mint_record(led, factory, accomplice)
-            public_records.fill_record(led, accomplice, filed,
-                                       f"honest filing {honest_count}".encode())
-            receipt = public_records.append_record(led, accomplice, tail, filed)
+            tail, receipt = _file(world, accomplice, tail, f"honest filing {honest_count}".encode())
             tally.check(f"honest filing {honest_count} accepted", receipt.accepted)
-            tail = filed
-            expected_shape.append(filed.digest)
+            expected_shape.append(tail.digest)
             honest_count += 1
             tally.allowed += 1
         variant = variants[i % len(variants)] if i < len(variants) else rng.choice(variants)
         label = f"attempt {i} ({variant})"
-        if variant == "garbage":
-            target = Address(rng.randbytes(crypto.DIGEST_SIZE))
-            tally.expect_reject(label, "InvalidRecord(1)",
-                                lambda t=target: public_records.append_record(led, attacker, tail, t))
-        elif variant == "wrong-kind":
-            tally.expect_reject(label, "InvalidRecord(1)",
-                                lambda: public_records.append_record(led, attacker, tail, account))
-        elif variant == "foreign-factory":
-            foreign = public_records.mint_record(led, rogue_factory, attacker)
-            tally.expect_reject(label, "InvalidRecord(1)",
-                                lambda f=foreign: public_records.append_record(led, attacker, tail, f))
-        elif variant == "unminted":
-            fake = led.deploy(attacker, public_records.PublicRecordContract.KIND,
-                              codec.pack(attacker.public.to_bytes(), factory.digest))
-            tally.expect_reject(label, "InvalidRecord(1)",
-                                lambda f=fake: public_records.append_record(led, attacker, tail, f))
-        elif variant == "foreign-author":
-            tally.expect_reject(label, "InvalidRecord(2)",
-                                lambda: public_records.append_record(led, attacker, tail,
-                                                                     loose_of_victim))
-        elif variant == "already-added":
-            tally.expect_reject(label, "InvalidRecord(3)",
-                                lambda: public_records.append_record(led, attacker, tail, recycled))
-        elif variant == "smuggled-tail":
-            front = public_records.mint_record(led, factory, attacker)
-            cargo = public_records.mint_record(led, factory, attacker)
-            public_records.append_record(led, attacker, front, cargo)  # accepted: front is loose
-            tally.allowed += 1
-            tally.expect_reject(label, "InvalidRecord(4)",
-                                lambda f=front: public_records.append_record(led, attacker, tail, f))
-        elif variant == "head-grab":
+        if variant == "head-grab":
             tally.expect_reject(label, "InvalidRecord(2)",
                                 lambda: identity.set_first_public_record(led, registry,
                                                                          accomplice, marker))
+            continue
+        build, reason = bad_links[variant]
+        bad_link = build()
+        tally.expect_reject(label, reason,
+                            lambda: public_records.append_record(led, attacker, tail, bad_link))
     shape_after = _list_shape(led, registry, victim.public)
     tally.check("victim list holds exactly the honest filings",
                 tuple(expected_shape) == shape_after)
@@ -300,23 +299,14 @@ def list_merge(seed: bytes = b"attack-merge") -> AttackReport:
     world = SimWorld(seed=codec.pack(b"attack-world", seed))
     led, registry, factory = world.ledger, world.registry, world.factory
 
-    alpha = world.add_actor("alpha")
-    beta = world.add_actor("beta")
-    authority = world.add_actor("authority")
-    for actor, tag in ((alpha, "A"), (beta, "B"), (authority, "AUTH")):
-        identity.register(led, registry, actor, identity.fingerprint_from_text(f"ST:{tag}"))
+    alpha, _ = _enrol(world, "alpha", "ST:A")
+    beta, _ = _enrol(world, "beta", "ST:B")
+    authority, _ = _enrol(world, "authority", "ST:AUTH")
 
-    def build_list(owner: crypto.KeyPair, tag: str) -> tuple[Address, Address]:
-        marker = public_records.mint_record(led, factory, owner)
-        public_records.fill_record(led, owner, marker, f"{tag} start".encode())
-        identity.set_first_public_record(led, registry, owner, marker)
-        filed = public_records.mint_record(led, factory, authority)
-        public_records.fill_record(led, authority, filed, f"{tag} judgement".encode())
-        public_records.append_record(led, authority, marker, filed)
-        return marker, filed
-
-    alpha_marker, alpha_filed = build_list(alpha, "alpha")
-    beta_marker, beta_filed = build_list(beta, "beta")
+    alpha_marker = _start_list(world, alpha, b"alpha start")
+    alpha_filed, _ = _file(world, authority, alpha_marker, b"alpha judgement")
+    beta_marker = _start_list(world, beta, b"beta start")
+    beta_filed, _ = _file(world, authority, beta_marker, b"beta judgement")
     shapes = (_list_shape(led, registry, alpha.public), _list_shape(led, registry, beta.public))
 
     # the authority re-files the same judgement against the other subject
@@ -368,23 +358,15 @@ def record_tamper(seed: bytes = b"attack-tamper") -> AttackReport:
     led, registry, factory = world.ledger, world.registry, world.factory
     rng = _rng(seed, "record-tamper")
 
-    victim = world.add_actor("victim")
-    authority = world.add_actor("authority")
-    attacker = world.add_actor("attacker")
-    for actor, tag in ((victim, "V"), (authority, "AUTH"), (attacker, "X")):
-        identity.register(led, registry, actor, identity.fingerprint_from_text(f"ST:{tag}"))
+    victim, _ = _enrol(world, "victim", "ST:V")
+    authority, _ = _enrol(world, "authority", "ST:AUTH")
+    attacker, _ = _enrol(world, "attacker", "ST:X")
 
-    marker = public_records.mint_record(led, factory, victim)
-    public_records.fill_record(led, victim, marker, b"list start")
-    identity.set_first_public_record(led, registry, victim, marker)
-
+    marker = _start_list(world, victim, b"list start")
     plaintext = b"charged off 2140.55 on account 8841"
     nonce = crypto.digest(codec.pack(b"tamper-nonce", seed))
-    sealed = public_records.mint_record(led, factory, authority)
-    public_records.fill_record(led, authority, sealed, plaintext,
-                               public_records.RECORD_ENCRYPTED,
-                               owner_key=victim.public, nonce=nonce)
-    public_records.append_record(led, authority, marker, sealed)
+    sealed, _ = _file(world, authority, marker, plaintext, public_records.RECORD_ENCRYPTED,
+                      owner_key=victim.public, nonce=nonce)
 
     digest_before = led.state_digest(sealed)
 
@@ -440,10 +422,9 @@ def unauthorized_read(seed: bytes = b"attack-read") -> AttackReport:
     world = SimWorld(seed=codec.pack(b"attack-world", seed))
     led, registry = world.ledger, world.registry
 
-    for name, tag in (("victim", "V"), ("bank", "B1"), ("rival", "B2")):
-        actor = world.add_actor(name)
-        identity.register(led, registry, actor, identity.fingerprint_from_text(f"ST:{tag}"))
-    victim = world.actor("victim")
+    victim, _ = _enrol(world, "victim", "ST:V")
+    _enrol(world, "bank", "ST:B1")
+    rival, _ = _enrol(world, "rival", "ST:B2")
 
     # victim's chain: two accounts at two institutions, with data
     predecessor = None
@@ -464,40 +445,34 @@ def unauthorized_read(seed: bytes = b"attack-read") -> AttackReport:
     rival_keys = [acct2.institution_view.institution.private,
                   acct2.institution_view.shared_data.private,
                   acct2.institution_view.shared_pointer.private,
-                  world.actor("rival").private]
+                  rival.private]
     for i, key in enumerate(rival_keys):
-        tally.expect_wrong_key(f"rival key {i} on head pointer",
-                               lambda k=key: crypto.decrypt(k, head_ct))
-        tally.expect_wrong_key(f"rival key {i} on account data",
-                               lambda k=key: crypto.decrypt(k, data1))
+        tally.expect_reject(f"rival key {i} on head pointer", "WrongKey",
+                            lambda k=key: crypto.decrypt(k, head_ct))
+        tally.expect_reject(f"rival key {i} on account data", "WrongKey",
+                            lambda k=key: crypto.decrypt(k, data1))
 
     # a leaked pointer key is contained: it opens its one link only
     leaked = acct1.customer_view.shared_pointer.private
     opened = crypto.decrypt(leaked, head_ct)
     tally.check("leaked pointer key opens its own link", opened == acct1.address.digest)
     tally.notes.append("granted: leaked acct1 pointer key reveals acct1's address")
-    tally.expect_wrong_key("leaked pointer key on next link",
-                           lambda: crypto.decrypt(leaked, next1))
-    tally.expect_wrong_key("leaked pointer key on data",
-                           lambda: crypto.decrypt(leaked, data1))
-    tally.expect_wrong_key("acct1 data key on acct2 data",
-                           lambda: crypto.decrypt(acct1.customer_view.shared_data.private,
-                                                  data2))
+    tally.expect_reject("leaked pointer key on next link", "WrongKey",
+                        lambda: crypto.decrypt(leaked, next1))
+    tally.expect_reject("leaked pointer key on data", "WrongKey",
+                        lambda: crypto.decrypt(leaked, data1))
+    tally.expect_reject("acct1 data key on acct2 data", "WrongKey",
+                        lambda: crypto.decrypt(acct1.customer_view.shared_data.private, data2))
 
     # encrypted public record: only the subject's identity key opens it
-    authority = world.add_actor("authority")
-    identity.register(led, registry, authority, identity.fingerprint_from_text("ST:AUTH"))
-    marker = public_records.mint_record(led, world.factory, victim)
-    public_records.fill_record(led, victim, marker, b"list start")
-    identity.set_first_public_record(led, registry, victim, marker)
-    sealed = public_records.mint_record(led, world.factory, authority)
-    public_records.fill_record(led, authority, sealed, b"sealed judgement",
-                               public_records.RECORD_ENCRYPTED, owner_key=victim.public,
-                               nonce=crypto.digest(codec.pack(b"read-nonce", seed)))
-    public_records.append_record(led, authority, marker, sealed)
+    authority, _ = _enrol(world, "authority", "ST:AUTH")
+    marker = _start_list(world, victim, b"list start")
+    sealed, _ = _file(world, authority, marker, b"sealed judgement",
+                      public_records.RECORD_ENCRYPTED, owner_key=victim.public,
+                      nonce=crypto.digest(codec.pack(b"read-nonce", seed)))
     sealed_data = led.read_state(sealed).data
-    tally.expect_wrong_key("rival identity key on sealed record",
-                           lambda: crypto.decrypt(world.actor("rival").private, sealed_data))
+    tally.expect_reject("rival identity key on sealed record", "WrongKey",
+                        lambda: crypto.decrypt(rival.private, sealed_data))
     opened_record = crypto.decrypt(victim.private, sealed_data)
     tally.check("subject opens own sealed record", opened_record == b"sealed judgement")
 
@@ -522,21 +497,18 @@ def identity_theft(seed: bytes = b"attack-theft") -> AttackReport:
     world = SimWorld(seed=codec.pack(b"attack-world", seed))
     led, registry = world.ledger, world.registry
 
-    authority = world.add_actor("authority")
-    victim = world.add_actor("victim")
-    thief = world.add_actor("thief")
-    fingerprint = identity.fingerprint_from_text("ST:VICTIM-SSN")
-    identity.register(led, registry, authority, identity.fingerprint_from_text("ST:AUTH"))
-    identity.register(led, registry, victim, fingerprint)
+    authority, _ = _enrol(world, "authority", "ST:AUTH")
+    victim, _ = _enrol(world, "victim", "ST:VICTIM-SSN")
     identity.certify(led, registry, authority, victim.public)
     trust = {authority.public}
 
-    receipt = identity.register(led, registry, thief, fingerprint)
+    thief, receipt = _enrol(world, "thief", "ST:VICTIM-SSN")
     tally.check("duplicate fingerprint registers on-chain", receipt.accepted)
     tally.allowed += 1
     tally.notes.append("thief registered the victim's fingerprint under a fresh key "
                        "(the chain cannot know better)")
 
+    fingerprint = identity.fingerprint_from_text("ST:VICTIM-SSN")
     state = led.read_state(registry)
     challenge = crypto.digest(codec.pack(b"challenge", seed))
 

@@ -33,7 +33,12 @@ class _Failed(Exception):
 
 def _run_scenario(path: Path) -> harness.ScenarioResult:
     try:
-        return harness.run_scenario_file(path)
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        print(f"cannot read input: {path} is not UTF-8 text", file=sys.stderr)
+        raise _Failed from exc
+    try:
+        return harness.run_scenario(text)
     except harness.ScenarioError as exc:
         print(f"scenario failed: {exc}", file=sys.stderr)
         raise _Failed from exc
@@ -47,10 +52,17 @@ def _replay(path: Path) -> Ledger:
         raise _Failed from exc
 
 
-def _write(path: Path, data: bytes) -> None:
+def _write(*outputs: tuple[Path, bytes]) -> None:
+    """Write each (path, data) in turn.  When one cannot be written, remove
+    those already written, so a command leaves all its outputs or none."""
+    written: list[Path] = []
     try:
-        path.write_bytes(data)
+        for path, data in outputs:
+            path.write_bytes(data)
+            written.append(path)
     except OSError as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
         print(f"cannot write output: {exc}", file=sys.stderr)
         raise _Failed from exc
 
@@ -129,7 +141,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 1
         print(f"audits passed: {', '.join(names)}")
     if args.export_ledger:
-        _write(args.export_ledger, result.world.ledger.export())
+        _write((args.export_ledger, result.world.ledger.export()))
         print(f"ledger written to {args.export_ledger} "
               f"(height {result.world.ledger.height})")
     return 0
@@ -157,6 +169,11 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
     if args.window and args.window[0] > args.window[1]:
         print("--window FROM must not be after TO", file=sys.stderr)
         return 2
+    outputs = (args.ledger_out, args.bundle_out, args.trust_out)
+    if len({path.resolve() for path in outputs}) < len(outputs):
+        print("--ledger-out, --bundle-out and --trust-out must name three different files",
+              file=sys.stderr)
+        return 2
     world = _run_scenario(args.scenario).world
     if args.customer not in world.actors:
         print(f"no actor named {args.customer!r} in that scenario", file=sys.stderr)
@@ -170,9 +187,9 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
     window = tuple(args.window) if args.window else None
     bundle = world.build_bundle(args.customer, args.variant, window=window,
                                 withhold=frozenset(args.withhold))
-    _write(args.ledger_out, world.ledger.export())
-    _write(args.bundle_out, reader.bundle_to_json(bundle).encode("utf-8"))
-    _write(args.trust_out, reader.trust_to_json(world.trust_set()).encode("utf-8"))
+    _write((args.ledger_out, world.ledger.export()),
+           (args.bundle_out, reader.bundle_to_json(bundle).encode("utf-8")),
+           (args.trust_out, reader.trust_to_json(world.trust_set()).encode("utf-8")))
     print(f"identity: {world.actor(args.customer).public.to_bytes().hex()}")
     print(f"wrote {args.ledger_out}, {args.bundle_out}, {args.trust_out}")
     return 0
@@ -245,7 +262,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     ledger = _run_scenario(args.scenario).world.ledger
-    _write(args.out, ledger.export())
+    _write((args.out, ledger.export()))
     print(f"ledger written to {args.out} (height {ledger.height})")
     return 0
 

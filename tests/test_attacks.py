@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from creditchain import attacks, harness, reader
+from creditchain import attacks, cli, harness, reader
 
 
 @pytest.mark.parametrize("name", sorted(attacks.SUITES))
@@ -86,3 +86,37 @@ SUITE_EXPORT_SHA256 = {
 def test_suite_world_export_is_pinned(name):
     export = attacks.run_suite(name).world.ledger.export()
     assert hashlib.sha256(export).hexdigest() == SUITE_EXPORT_SHA256[name]
+
+
+# each suite's whole outcome at its default arguments, so a change that moved
+# a count or reworded a note shows even while every attempt is still blocked
+SUITE_OUTCOMES = {
+    "identity-theft": (4, 4, 2, (
+        "thief registered the victim's fingerprint under a fresh key "
+        "(the chain cannot know better)",)),
+    "list-merge": (6, 6, 1, ()),
+    "pointer-poison": (60, 60, 23, (
+        "victim list grew to 13 records, all 12 honest filings and nothing else",)),
+    "record-tamper": (27, 27, 1, ()),
+    "sybil": (101, 101, 100, ("100 sybil identities registered (permissionless by design)",)),
+    "unauthorized-read": (12, 12, 0, (
+        "granted: leaked acct1 pointer key reveals acct1's address",
+        "observer scan: no address substrings, no repeated pointer bytes")),
+}
+
+# sha256 of what `creditchain attack all` prints
+ATTACK_ALL_STDOUT_SHA256 = "9402239283214d6a2ad9c73f3711a401a228fb7cf69368f6798d30483ff33a44"
+
+
+@pytest.mark.parametrize("name", sorted(attacks.SUITES))
+def test_suite_outcome_is_pinned(name):
+    report = attacks.run_suite(name)
+    outcome = (report.attempts, report.blocked, report.allowed_by_design, report.notes)
+    assert report.name == name
+    assert outcome == SUITE_OUTCOMES[name]
+
+
+def test_attack_all_stdout_is_pinned(capsys):
+    assert cli.main(["attack", "all"]) == 0
+    printed = capsys.readouterr().out
+    assert hashlib.sha256(printed.encode("utf-8")).hexdigest() == ATTACK_ALL_STDOUT_SHA256

@@ -70,6 +70,45 @@ def test_a_failed_write_says_so(capsys, tmp_path):
         assert err.startswith("cannot write output: ") and str(missing) in err
 
 
+def test_a_failed_disclose_write_removes_what_it_wrote(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "disclose", LIFECYCLE, "alice",
+                           "--ledger-out", tmp_path / "ledger.bin",
+                           "--bundle-out", tmp_path / "absent" / "bundle.json",
+                           "--trust-out", tmp_path / "trust.json")
+    assert code == 1
+    assert err.startswith("cannot write output: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bundle_out", ["x", "{tmp}/x"])
+def test_disclose_refuses_outputs_that_name_one_file(capsys, monkeypatch, tmp_path, bundle_out):
+    """Checked before the scenario runs, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    started = []
+    monkeypatch.setattr(cli.harness, "run_scenario", lambda *a, **k: started.append(a))
+    code, _, err = run_cli(capsys, "disclose", LIFECYCLE, "alice", "--ledger-out", "x",
+                           "--bundle-out", bundle_out.format(tmp=tmp_path), "--trust-out", "x")
+    assert code == 2
+    assert err == "--ledger-out, --bundle-out and --trust-out must name three different files\n"
+    assert started == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb", ["run", "disclose", "export-ledger"])
+def test_a_scenario_that_is_not_utf8_is_refused_in_one_line(capsys, tmp_path, verb):
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(b"\xff\xfe GENKEY a\n")
+    argv = {"run": ["run", bad],
+            "disclose": ["disclose", bad, "a", "--ledger-out", tmp_path / "l.bin",
+                         "--bundle-out", tmp_path / "b.json", "--trust-out", tmp_path / "t.json"],
+            "export-ledger": ["export-ledger", tmp_path / "l.bin", "--scenario", bad]}[verb]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"cannot read input: {bad} is not UTF-8 text\n"
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_attack_single_suite(capsys):
     code, out, _ = run_cli(capsys, "attack", "sybil")
     assert code == 0
