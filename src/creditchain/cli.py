@@ -33,12 +33,7 @@ class _Failed(Exception):
 
 def _run_scenario(path: Path) -> harness.ScenarioResult:
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        print(f"cannot read input: {path} is not UTF-8 text", file=sys.stderr)
-        raise _Failed from exc
-    try:
-        return harness.run_scenario(text)
+        return harness.run_scenario_file(path)
     except harness.ScenarioError as exc:
         print(f"scenario failed: {exc}", file=sys.stderr)
         raise _Failed from exc
@@ -54,15 +49,18 @@ def _replay(path: Path) -> Ledger:
 
 def _write(*outputs: tuple[Path, bytes]) -> None:
     """Write each (path, data) in turn.  When one cannot be written, remove
-    those already written, so a command leaves all its outputs or none."""
-    written: list[Path] = []
+    every regular file opened here, the one that failed part way included,
+    so a command leaves all its outputs or none of them."""
+    opened: list[Path] = []
     try:
         for path, data in outputs:
-            path.write_bytes(data)
-            written.append(path)
+            with path.open("wb") as out:
+                opened.append(path)
+                out.write(data)
     except OSError as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
+        for path in opened:
+            if path.is_file():
+                path.unlink()
         print(f"cannot write output: {exc}", file=sys.stderr)
         raise _Failed from exc
 

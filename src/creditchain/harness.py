@@ -328,7 +328,15 @@ class ScenarioResult:
 
 
 def run_scenario_file(path: str | Path, world: Optional[SimWorld] = None) -> ScenarioResult:
-    return run_scenario(Path(path).read_text(encoding="utf-8"), world=world)
+    """Run the scenario in a file.  A file that is not UTF-8 text is a bad
+    scenario like any other: ``ScenarioError`` on the line of its first bad
+    byte."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+    return run_scenario(text, world=world)
 
 
 def run_scenario(text: str, world: Optional[SimWorld] = None) -> ScenarioResult:

@@ -364,6 +364,13 @@ def test_scenario_files_run_green():
         harness.run_all_audits(result.world)
 
 
+def test_a_scenario_file_that_is_not_utf8_fails_on_the_line_of_its_first_bad_byte(tmp_path):
+    path = tmp_path / "bad.scn"
+    path.write_bytes(b"GENKEY a\r\nGENKEY b\n\xff\xfe GENKEY c\n")
+    with pytest.raises(harness.ScenarioError, match="^line 3: not UTF-8 text$"):
+        harness.run_scenario_file(path)
+
+
 def test_data_nonce_is_derived_from_account_and_index_whatever_was_asked_before():
     """The world keeps each account's last data nonce; asking again, for
     another index or another account, still gives the derived nonce."""

@@ -1,6 +1,7 @@
 """End-to-end CLI runs, in-process via cli.main()."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -80,6 +81,41 @@ def test_a_failed_disclose_write_removes_what_it_wrote(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+class _DiskFillsUp:
+    """An open output file whose write stores a few bytes, then fails."""
+
+    def __init__(self, out):
+        self.out = out
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.out.close()
+
+    def write(self, data):
+        self.out.write(data[:10])
+        self.out.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_disclose_write_that_fails_part_way_leaves_no_file(capsys, monkeypatch, tmp_path):
+    real_open = Path.open
+
+    def open_(path, *args, **kwargs):
+        out = real_open(path, *args, **kwargs)
+        return _DiskFillsUp(out) if path.name == "bundle.json" else out
+
+    monkeypatch.setattr(Path, "open", open_)
+    code, _, err = run_cli(capsys, "disclose", LIFECYCLE, "alice",
+                           "--ledger-out", tmp_path / "ledger.bin",
+                           "--bundle-out", tmp_path / "bundle.json",
+                           "--trust-out", tmp_path / "trust.json")
+    assert code == 1
+    assert err == "cannot write output: [Errno 28] No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("bundle_out", ["x", "{tmp}/x"])
 def test_disclose_refuses_outputs_that_name_one_file(capsys, monkeypatch, tmp_path, bundle_out):
     """Checked before the scenario runs, and nothing is written."""
@@ -105,7 +141,7 @@ def test_a_scenario_that_is_not_utf8_is_refused_in_one_line(capsys, tmp_path, ve
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err == f"cannot read input: {bad} is not UTF-8 text\n"
+    assert err == "scenario failed: line 1: not UTF-8 text\n"
     assert list(tmp_path.iterdir()) == [bad]
 
 
