@@ -573,7 +573,3 @@ def run_suite(name: str, **kwargs) -> AttackReport:
         raise ValueError(f"unknown attack suite {name!r}; "
                          f"choose from {', '.join(sorted(SUITES))}") from None
     return suite(**kwargs)
-
-
-def run_all() -> list[AttackReport]:
-    return [suite() for suite in SUITES.values()]

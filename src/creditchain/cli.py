@@ -228,34 +228,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print("this ledger holds no identity registry, so no identity is registered",
               file=sys.stderr)
         return 2
-    try:
-        report = reader.assemble_report(led, registries[0], bundle, trust)
-    except reader.IncompleteDisclosure as exc:
-        for line in reader.render_report(exc.report):
+    verdict = reader.judge(led, registries[0], bundle, trust)
+    if verdict.report is not None:
+        for line in reader.render_report(verdict.report):
             print(line)
-        print("VERDICT: incomplete — the chain continues past the disclosure")
-        return 1
-    except reader.ChainMismatch as exc:
-        print(f"VERDICT: disclosure contradicts the chain — {exc}")
-        return 1
-    except reader.CommitmentInvalid as exc:
-        print(f"VERDICT: commitment failed verification at {exc.address.short()}")
-        return 1
-    except identity.UnknownIdentity:
-        print("VERDICT: that identity key is not registered")
-        return 2
-    for line in reader.render_report(report):
-        print(line)
-    problems = []
-    if not all(e.commitment_ok for e in report.entries):
-        problems.append("uncommitted accounts present")
-    if not report.window_satisfied:
-        problems.append("window not satisfied")
-    if problems:
-        print(f"VERDICT: verified but rejected — {'; '.join(problems)}")
-        return 1
-    print("VERDICT: verified")
-    return 0
+    print(reader.render_verdict(verdict))
+    return verdict.code
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

@@ -315,7 +315,7 @@ class SimWorld:
 
 @dataclass(frozen=True)
 class Outcome:
-    kind: str  # "accept" | "reject" | "report"
+    kind: str  # "accept" | "reject" | "report" | "refused" (the reader refused a DISCLOSE)
     detail: str = ""  # for a rejection, its reason
     report: Optional[reader.VerifiedReport] = None
 
@@ -481,13 +481,12 @@ class _Runner:
                 return
             handler = getattr(self, "_cmd_" + command.lower().replace("-", "_"))
             outcome: Outcome = handler(*values, **options)
-        except (reader.ChainMismatch, reader.CommitmentInvalid, identity.UnknownIdentity) as exc:
-            # only DISCLOSE runs the reader, which raises these
-            raise DisclosureRefused(line_no, f"{type(exc).__name__}: {exc}") from exc
         except (KeyError, ValueError) as exc:
             raise ParseError(line_no, str(exc)) from exc
         except LedgerError as exc:  # refused before landing, e.g. ChainFull
             raise ScenarioError(line_no, f"{type(exc).__name__}: {exc}") from exc
+        if outcome.kind == "refused":
+            raise DisclosureRefused(line_no, outcome.detail)
         self.steps += 1
         self.last, self.last_line = outcome, line_no
         self.acknowledged = outcome.kind == "accept"
@@ -644,14 +643,13 @@ class _Runner:
         bundle = world.build_bundle(customer, variant, window=window,
                                     withhold=frozenset(h.name for h in withhold),
                                     upto=upto[0] if upto else None)
-        try:
-            report = reader.assemble_report(world.ledger, world.registry, bundle,
-                                            world.trust_set(), blob_store=world.blobs)
-        except reader.IncompleteDisclosure as exc:
-            report = exc.report
-        lines = reader.render_report(report)
+        verdict = reader.judge(world.ledger, world.registry, bundle,
+                               world.trust_set(), blob_store=world.blobs)
+        if verdict.report is None:
+            return Outcome(kind="refused", detail=f"{verdict.reasons[0]}: {verdict.detail}")
+        lines = reader.render_report(verdict.report)
         body = "".join(f"\n      | {line}" for line in lines[:-1])
-        return Outcome(kind="report", detail=lines[-1] + body, report=report)
+        return Outcome(kind="report", detail=lines[-1] + body, report=verdict.report)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ The ledger keeps a log of signed transactions, one per block, and the
 current state of each contract; nothing else.  Blocks are implicit: the
 height is a counter, each log entry records the block its transaction landed
 in, and ``advance_block`` skips empty blocks in O(1) so tests can position
-height-sensitive operations (expirations) precisely.  The block list is
-rebuilt from the log and a contract's state history by re-executing it.
+height-sensitive operations (expirations) precisely.  A contract's state
+history is rebuilt by re-executing the log.
 
 A transaction either deploys a new contract or calls a function on an
 existing one.  Contract logic lives in transition functions registered per
@@ -52,9 +52,6 @@ any.
 from __future__ import annotations
 
 import io
-import sys
-from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cache
 from typing import Any, ClassVar, Optional, Protocol
@@ -342,39 +339,6 @@ class CallContext:
 # ---------------------------------------------------------------------------
 
 
-def _block_of(entry: LogEntry) -> int:
-    return entry.block
-
-
-class _Blocks(Sequence):
-    """Read-only view of blocks 0..height as lists of log entries.
-
-    A block is built only when indexed, by bisecting the block-ordered log,
-    so the view costs nothing however many empty blocks the height spans.
-    It sees the first ``count`` log entries: later submissions do not show.
-    """
-
-    def __init__(self, log: list[LogEntry], count: int, height: int) -> None:
-        self._log, self._count, self._len = log, count, height + 1
-
-    def __len__(self) -> int:
-        if self._len > sys.maxsize:  # ``len`` cannot return more
-            raise OverflowError(f"height {self._len - 1} has more blocks than len() can "
-                                f"return; count them as Ledger.height + 1")
-        return self._len
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._block(i) for i in range(*index.indices(self._len))]
-        number = range(self._len)[index]  # normalises negatives, raises IndexError
-        return self._block(number)
-
-    def _block(self, number: int) -> list[LogEntry]:
-        lo = bisect_left(self._log, number, 0, self._count, key=_block_of)
-        hi = bisect_right(self._log, number, lo, self._count, key=_block_of)
-        return self._log[lo:hi]
-
-
 class Ledger:
     """Single-writer ledger: submit transactions, read state, export, replay."""
 
@@ -403,25 +367,8 @@ class Ledger:
         return self._height
 
     @property
-    def blocks(self) -> Sequence[list[LogEntry]]:
-        """Every block up to and including the open one, rebuilt from the log.
-
-        Indexing and slicing work at any height.  ``len`` (and so
-        ``reversed``) raises OverflowError once the height reaches
-        ``sys.maxsize``, since Python's ``len`` cannot return more; the
-        block count is always ``Ledger.height + 1``.
-        """
-        return _Blocks(self._log, len(self._log), self._height)
-
-    @property
     def log(self) -> list[LogEntry]:
         return list(self._log)
-
-    def transaction_count(self, caller: crypto.PublicKey | bytes) -> int:
-        """How many transactions a key has landed on the chain (the stand-in
-        for fees: rejected calls count too), counted off the log."""
-        raw = caller.to_bytes() if isinstance(caller, crypto.PublicKey) else caller
-        return sum(entry.tx.caller == raw for entry in self._log)
 
     # -- submission ---------------------------------------------------------
 

@@ -23,6 +23,8 @@ IncompleteDisclosure (carrying the partial report) when the chain keeps
 going past the last disclosed account.  A customer can withhold *data* for
 out-of-window accounts while still proving chain completeness; the window
 check then only passes if every in-window account has its data open.
+``judge`` turns those failures and a report's flags into the one verdict,
+accept or refuse with reasons, that every caller applies.
 
 A reader meets the same chain facts again and again: commitments and links
 are write-once, and a data field changes only when it is rewritten.  Three
@@ -480,6 +482,69 @@ def render_report(report: VerifiedReport) -> list[str]:
         f"window={window} window_satisfied={'yes' if report.window_satisfied else 'no'}"
     )
     return lines
+
+
+# ---------------------------------------------------------------------------
+# Verdict
+# ---------------------------------------------------------------------------
+
+# Every reason ``judge`` gives, in the order it checks them: the exit code it
+# gives, and the text of its VERDICT line.  The first four are the reader's
+# refusals, each named after the exception ``assemble_report`` raises; a
+# refusal is the only reason given, and its text shows the exception's
+# message at "{}" (cut to 12 hex digits, an address's short form).  The last
+# two refuse a complete report whose every entry verified; each is given when
+# it holds, and their texts follow "verified but rejected — ", joined by "; ".
+REASONS = {
+    "UnknownIdentity": (2, "that identity key is not registered"),
+    "ChainMismatch": (1, "disclosure contradicts the chain — {}"),
+    "CommitmentInvalid": (1, "commitment failed verification at {:.12}"),
+    "IncompleteDisclosure": (1, "incomplete — the chain continues past the disclosure"),
+    "Uncommitted": (1, "uncommitted accounts present"),
+    "WindowNotSatisfied": (1, "window not satisfied"),
+}
+
+
+class Verdict(NamedTuple):
+    """A lender's decision on one disclosure."""
+
+    code: int  # 0 accepts; otherwise the highest code among the reasons
+    reasons: tuple[str, ...]  # keys of REASONS, in its order; empty when accepted
+    report: Optional[VerifiedReport]  # None when the reader refused before any report
+    detail: str = ""  # the refusing exception's message
+
+
+def judge(led: Ledger, registry: Address, bundle: DisclosureBundle,
+          trust_set: set[crypto.PublicKey],
+          blob_store: Optional[BlobStore] = None) -> Verdict:
+    """Verify the disclosure with ``assemble_report`` and decide: the one
+    rule every caller of the reader applies.
+
+    The verdict carries the report that was verified, partial when the chain
+    continues past the disclosure.  An institution outside ``trust_set`` is
+    shown as ``trusted=no`` and is not refused: its entries verify all the
+    same, and whom to trust stays the lender's reading of the report.
+    """
+    try:
+        report = assemble_report(led, registry, bundle, trust_set, blob_store)
+    except (UnknownIdentity, ChainMismatch, CommitmentInvalid, IncompleteDisclosure) as exc:
+        reason = type(exc).__name__
+        partial = exc.report if isinstance(exc, IncompleteDisclosure) else None
+        return Verdict(REASONS[reason][0], (reason,), partial, str(exc))
+    reasons = tuple(reason for reason, holds in (
+        ("Uncommitted", not all(e.commitment_ok for e in report.entries)),
+        ("WindowNotSatisfied", not report.window_satisfied)) if holds)
+    return Verdict(max((REASONS[r][0] for r in reasons), default=0), reasons, report)
+
+
+def render_verdict(verdict: Verdict) -> str:
+    """The VERDICT line that closes the CLI's report output."""
+    texts = [REASONS[reason][1] for reason in verdict.reasons]
+    if not texts:
+        return "VERDICT: verified"
+    if verdict.report is not None and verdict.report.complete:
+        return "VERDICT: verified but rejected — " + "; ".join(texts)
+    return "VERDICT: " + texts[0].format(verdict.detail)
 
 
 # ---------------------------------------------------------------------------

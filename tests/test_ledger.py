@@ -103,9 +103,7 @@ def test_one_transaction_per_block(led, alice):
     led.call(alice, addr, "set", b"x")
     led.call(alice, addr, "set", b"y")
     assert led.height == 3
-    sealed = led.blocks[:3]
-    assert [len(b) for b in sealed] == [1, 1, 1]
-    assert led.blocks[3] == []  # the open block
+    assert [e.block for e in led.log] == [0, 1, 2]  # block 3 is open and empty
 
 
 def test_advance_block_adds_empty_blocks(led, alice):
@@ -198,13 +196,6 @@ def test_unknown_address_raises_without_logging(led, alice):
     with pytest.raises(UnknownAddress):
         led.call(alice, nowhere, "set", b"x")
     assert len(led.log) == log_before
-
-
-def test_transaction_count_includes_rejected(led, alice):
-    addr = deploy_probe(led, alice)
-    led.call(alice, addr, "set", b"x")
-    led.call(alice, addr, "frobnicate", b"")
-    assert led.transaction_count(alice.public) == 3
 
 
 # -- who verifies signatures -----------------------------------------------------
@@ -584,51 +575,6 @@ def test_replay_of_huge_block_number_is_constant_time():
     with pytest.raises(ReplayMismatch):
         Ledger.replay(data)
     assert time.process_time() - started < 0.5
-
-
-def test_blocks_are_rebuilt_from_the_log(led, alice):
-    addr = deploy_probe(led, alice)
-    led.advance_block(2)
-    led.call(alice, addr, "set", b"x")
-    assert [len(b) for b in led.blocks] == [1, 0, 0, 1, 0]
-    assert led.blocks[3][0] is led.log[1]
-
-
-def test_blocks_of_huge_height_are_built_on_demand():
-    led = Ledger.replay(_patch_u64(busy_ledger().export(), HEIGHT_OFFSET, 2**40))
-    started = time.process_time()
-    assert len(led.blocks) == 2**40 + 1
-    assert led.blocks[-1] == []
-    assert time.process_time() - started < 0.5
-
-
-def test_blocks_past_the_len_limit_index_but_refuse_len():
-    led = Ledger()
-    led.advance_block(2**63)
-    blocks = led.blocks
-    assert blocks[-1] == [] and blocks[0] == []
-    assert blocks[2**63 - 1:] == [[], []]
-    for count in (len, lambda view: next(reversed(view))):
-        with pytest.raises(OverflowError, match=r"height 9223372036854775808 .*Ledger\.height \+ 1"):
-            count(blocks)
-
-
-def test_block_view_matches_blocks_rebuilt_by_a_full_pass(alice):
-    led = busy_ledger()
-    expected = [[] for _ in range(led.height + 1)]
-    for entry in led.log:
-        expected[entry.block].append(entry)
-    blocks = led.blocks
-    assert list(blocks) == expected
-    assert blocks[2:7:2] == expected[2:7:2]
-    assert blocks[-3:] == expected[-3:]
-    assert blocks[-len(expected)] == expected[0]
-    for index in (len(expected), -len(expected) - 1):
-        with pytest.raises(IndexError):
-            blocks[index]
-    deploy_probe(led, alice)  # lands in the open block after the view was taken
-    assert blocks[-1] == []
-    assert len(led.blocks[-2]) == 1
 
 
 @st.composite

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 
 import helpers
 from creditchain import codec, crypto, identity, reader
-from creditchain.credit_account import DATA_MODE_EXTERNAL, DATA_MODE_INLINE
+from creditchain.credit_account import DATA_MODE_EXTERNAL, DATA_MODE_INLINE, decode_data_payload
 from creditchain.harness import run_scenario
 from creditchain.ledger import Address, Ledger
+
+LIFECYCLE = Path(__file__).parent.parent / "scenarios" / "lifecycle.scn"
 
 
 def assemble(world, bundle, **kwargs):
@@ -301,6 +304,50 @@ def test_keys_then_plaintext_entry_lacks_nonce(chain5_world):
         assemble(world, dataclasses.replace(keys, entries=mixed))
 
 
+# -- the verdict --------------------------------------------------------------------
+
+
+def _windowed_withholding_second(world):
+    blocks = [e.creation_block for e in assemble(world, world.build_bundle("cust")).entries]
+    return world.build_bundle("cust", window=(min(blocks), max(blocks)),
+                              withhold=frozenset(world.chain_names("cust")[1:2]))
+
+
+# bundle from chain5_world -> (code, reasons, entries in the report or None)
+JUDGED = {
+    "honest": (lambda w: w.build_bundle("cust"), (0, (), 5)),
+    "window": (_windowed_withholding_second, (1, ("WindowNotSatisfied",), 5)),
+    "incomplete": (lambda w: w.build_bundle("cust", upto=3), (1, ("IncompleteDisclosure",), 3)),
+    "mismatch": (lambda w: _with(w.build_bundle("cust"), 0, address=w.account("acct1").address),
+                 (1, ("ChainMismatch",), None)),
+    "commitment": (lambda w: _with(w.build_bundle("cust"), 0, institution_identity=(
+        crypto.generate_keypair(b"claimed institution").public)),
+        (1, ("CommitmentInvalid",), None)),
+    "unknown": (lambda w: dataclasses.replace(
+        w.build_bundle("cust"), identity=crypto.generate_keypair(b"ghost").public),
+        (2, ("UnknownIdentity",), None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JUDGED))
+def test_judge_decides_what_the_reader_found(chain5_world, case):
+    make, (code, reasons, entries) = JUDGED[case]
+    world = chain5_world
+    verdict = reader.judge(world.ledger, world.registry, make(world), world.trust_set())
+    assert (verdict.code, verdict.reasons) == (code, reasons)
+    assert (None if verdict.report is None else len(verdict.report.entries)) == entries
+
+
+def test_judge_refuses_an_uncommitted_account_but_not_an_untrusted_institution():
+    world = run_scenario('GENKEY bank\nGENKEY ana\nREGISTER ana "US:123"\n'
+                         "CEREMONY ana bank acct\nOPEN acct 300\nAPPEND ana HEAD acct\n").world
+    verdict = reader.judge(world.ledger, world.registry, world.build_bundle("ana"), set())
+    assert (verdict.code, verdict.reasons) == (1, ("Uncommitted",))
+    assert [e.institution_trusted for e in verdict.report.entries] == [False]
+    assert reader.render_verdict(verdict) == (
+        "VERDICT: verified but rejected — uncommitted accounts present")
+
+
 # -- external-hash data ------------------------------------------------------------
 
 
@@ -556,6 +603,48 @@ def test_update_between_reports_shows_new_plaintext(cold_memos, variant):
     report = assemble(world, world.build_bundle("cust", variant=variant))
     assert report.entries[1].data == b"entry 1: balance 999"
     assert report.entries[0].data == b"entry 0: balance 100"
+
+
+def _opens(entry, ciphertext):
+    """The inline text a bundle entry opens a data ciphertext to, or None."""
+    if isinstance(entry, reader.KeyDisclosure):
+        if entry.data_key is None:
+            return None
+        try:
+            payload = crypto.decrypt(entry.data_key, ciphertext)
+        except crypto.WrongKey:
+            return None
+    elif entry.data_plaintext is None or ciphertext != crypto.encrypt(
+            entry.data_public_key, entry.data_nonce, entry.data_plaintext):
+        return None
+    else:
+        payload = entry.data_plaintext
+    return decode_data_payload(payload).inline.decode("utf-8")
+
+
+LIMIT_5000, LIMIT_9000 = "credit card, limit 5000", "credit card, limit 9000 after review"
+
+
+@pytest.mark.parametrize("variant, withhold, opened", [
+    ("keys", (), [LIMIT_5000, LIMIT_9000, "120 days late"]),
+    ("plaintext", (), [None, LIMIT_9000, None]),
+    ("keys", ("a-acct2",), [None, None, None]),
+    ("plaintext", ("a-acct2",), [None, None, None]),
+])
+def test_what_a_disclosure_opens_on_the_ledger(variant, withhold, opened):
+    """An account's data key is fixed when it opens, and every write to it is
+    encrypted under that key.  So a keys disclosure opens each write to the
+    account, past and future: here a write made after the bundle was built.
+    A plaintext disclosure opens the latest write only, and a withheld
+    account opens none."""
+    world = run_scenario(LIFECYCLE.read_text()).world
+    bundle = world.build_bundle("alice", variant, withhold=frozenset(withhold))
+    handle = world.account("a-acct2")
+    assert world.update_account(handle, DATA_MODE_INLINE, b"120 days late").accepted
+    entry = next(e for e in bundle.entries if e.address == handle.address)
+    writes = [codec.unpack(e.tx.args, 2)[1] for e in world.ledger.log
+              if e.accepted and e.tx.target == handle.address and e.tx.function == "update_data"]
+    assert [_opens(entry, ciphertext) for ciphertext in writes] == opened
 
 
 def test_replay_after_reports_verifies_every_transaction(chain5_world, cold_memos,

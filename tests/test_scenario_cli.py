@@ -367,6 +367,69 @@ def test_report_on_undecodable_input(capsys, disclosure_files, case):
     assert err.startswith("unusable input: ")
 
 
+STRANGER_HEX = crypto.generate_keypair(b"never registered").public.to_bytes().hex()
+MORTGAGE = ("account=edbd3ca59538 created=16 expires=420 institution=ef784658a145 "
+            "trusted={} commitment=ok data=mortgage opened, 30yr fixed\n")
+CARD = ("account=71f6cf9dce0a created=20 expires=450 institution=b29ab09cc6c9 "
+        "trusted={} commitment=ok data={}\n")
+AUTO = ("account=c16c46c88232 created=25 expires=500 institution=b4052ae9ccae "
+        "trusted={} commitment=ok data=external:c96928db48f785944c80d248cd22230b"
+        "420480b311391a1af4fd3d9adb423d80 digest=c96928db48f78594\n")
+CARD_DATA = "credit card, limit 9000 after review"
+
+
+def _swap_first_two(doc):
+    doc["entries"][0], doc["entries"][1] = doc["entries"][1], doc["entries"][0]
+
+
+# Every verdict ``report`` gives on alice's lifecycle keys disclosure, pinned
+# whole: (bundle edit, trust file text, extra arguments) -> (exit code, stdout).
+# None leaves a file as ``disclose`` wrote it.
+VERDICTS = {
+    "verified": ((None, None, ()), (0, (
+        MORTGAGE.format("yes") + CARD.format("yes", CARD_DATA) + AUTO.format("yes")
+        + "complete=yes entries=3 window=- window_satisfied=yes\n"
+        + "VERDICT: verified\n"))),
+    "untrusted-institutions": ((None, "[]", ()), (0, (
+        MORTGAGE.format("no") + CARD.format("no", CARD_DATA) + AUTO.format("no")
+        + "complete=yes entries=3 window=- window_satisfied=yes\n"
+        + "VERDICT: verified\n"))),
+    "window-not-satisfied": (
+        (lambda doc: doc["entries"][1].update(data_key=None), None, ("--from", "0", "--to", "500")),
+        (1, (MORTGAGE.format("yes") + CARD.format("yes", "undisclosed") + AUTO.format("yes")
+             + "complete=yes entries=3 window=[0,500] window_satisfied=no\n"
+             + "VERDICT: verified but rejected — window not satisfied\n"))),
+    "incomplete": ((lambda doc: doc["entries"].pop(), None, ()), (1, (
+        MORTGAGE.format("yes") + CARD.format("yes", CARD_DATA)
+        + "complete=no entries=2 window=- window_satisfied=yes\n"
+        + "VERDICT: incomplete — the chain continues past the disclosure\n"))),
+    "contradicts-the-chain": ((_swap_first_two, None, ()), (1, (
+        "VERDICT: disclosure contradicts the chain — "
+        "entry 0: pointer key does not open the link\n"))),
+    "commitment-invalid": (
+        (lambda doc: doc["entries"][0].update(
+            institution_identity=doc["entries"][1]["institution_identity"]), None, ()),
+        (1, "VERDICT: commitment failed verification at edbd3ca59538\n")),
+    "unregistered-identity": ((lambda doc: doc.update(identity=STRANGER_HEX), None, ()), (2, (
+        "VERDICT: that identity key is not registered\n"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERDICTS))
+def test_report_verdicts_are_pinned(capsys, disclosure_files, case):
+    ledger, bundle, trust, _ = disclosure_files
+    (change, trust_text, extra), expected = VERDICTS[case]
+    if change is not None:
+        bundle.write_text(_edit(change)(bundle.read_text()))
+    if trust_text is not None:
+        trust.write_text(trust_text)
+    identity_hex = json.loads(bundle.read_text())["identity"]
+    code, out, err = run_cli(capsys, "report", identity_hex, "--ledger", ledger,
+                             "--bundle", bundle, "--trust", trust, *extra)
+    assert (code, out) == expected
+    assert err == ""
+
+
 # -- generated and mutated bundle and trust documents ---------------------------
 
 
