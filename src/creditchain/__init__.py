@@ -3,87 +3,10 @@ credit reporting.
 
 Importing the package registers all built-in contract kinds (identity
 registry, credit account, record factory, public record) with the ledger,
-so `Ledger.replay` can reconstruct any exported history.
+so `Ledger.replay` can reconstruct any exported history.  Names are
+imported from their modules, e.g. ``creditchain.ledger.Ledger``.
 """
 
-from . import codec, crypto
-from .ledger import (
-    Address,
-    BadSignature,
-    CallReceipt,
-    ConstructorRejected,
-    ContractRejected,
-    Ledger,
-    LedgerError,
-    ReplayMismatch,
-    Transaction,
-    UnknownAddress,
-)
-from . import identity
-from . import credit_account
-from . import public_records
-from . import reader
-from .identity import IdentityContract, UnknownIdentity, UnknownSubject
-from .credit_account import (
-    BlobStore,
-    CreditAccountContract,
-    CustomerAccountView,
-    InstitutionAccountView,
-    key_ceremony,
-)
-from .public_records import (
-    BrokenChain,
-    PublicRecordContract,
-    RecordFactoryContract,
-)
-from .reader import (
-    ChainMismatch,
-    CommitmentInvalid,
-    DisclosureBundle,
-    IncompleteDisclosure,
-    KeyDisclosure,
-    PlaintextDisclosure,
-    VerifiedReport,
-    assemble_report,
-)
+from . import credit_account, identity, public_records  # each registers its contract kinds
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Address",
-    "BadSignature",
-    "BlobStore",
-    "BrokenChain",
-    "CallReceipt",
-    "ChainMismatch",
-    "CommitmentInvalid",
-    "ConstructorRejected",
-    "ContractRejected",
-    "CreditAccountContract",
-    "CustomerAccountView",
-    "DisclosureBundle",
-    "IdentityContract",
-    "IncompleteDisclosure",
-    "InstitutionAccountView",
-    "KeyDisclosure",
-    "Ledger",
-    "LedgerError",
-    "PlaintextDisclosure",
-    "PublicRecordContract",
-    "RecordFactoryContract",
-    "ReplayMismatch",
-    "Transaction",
-    "UnknownAddress",
-    "UnknownIdentity",
-    "UnknownSubject",
-    "VerifiedReport",
-    "assemble_report",
-    "codec",
-    "credit_account",
-    "crypto",
-    "identity",
-    "key_ceremony",
-    "public_records",
-    "reader",
-    "__version__",
-]

@@ -111,8 +111,8 @@ def _rng(seed: bytes, suite: str) -> random.Random:
 
 def _list_shape(led: Ledger, registry: Address, subject: crypto.PublicKey) -> tuple[bytes, ...]:
     """Addresses along a subject's public-record list, for before/after diffs."""
-    first = led.read_state(registry).records[subject.to_bytes()].first_public_record
-    return tuple(address.digest for address, _ in public_records.walk_public_records(led, first))
+    first = identity.get_record(led.read_state(registry), subject).first_public_record
+    return tuple(address.digest for address, _, _ in public_records.walk_public_records(led, first))
 
 
 def _enrol(world: SimWorld, name: str, fingerprint: str) -> tuple[crypto.KeyPair, CallReceipt]:
@@ -437,7 +437,7 @@ def unauthorized_read(seed: bytes = b"attack-read") -> AttackReport:
         predecessor = handle
 
     acct1, acct2 = world.accounts["acct1"], world.accounts["acct2"]
-    head_ct = led.read_state(registry).records[victim.public.to_bytes()].first_credit_account
+    head_ct = identity.get_record(led.read_state(registry), victim.public).first_credit_account
     data1 = led.read_state(acct1.address).data
     next1 = led.read_state(acct1.address).next_account
     data2 = led.read_state(acct2.address).data
@@ -541,7 +541,7 @@ def identity_theft(seed: bytes = b"attack-theft") -> AttackReport:
     tally.allowed += 1
     state = led.read_state(registry)
     tally.check("victim head still empty",
-                state.records[victim.public.to_bytes()].first_credit_account is None)
+                identity.get_record(state, victim.public).first_credit_account is None)
 
     # 5. readers resolving the fingerprint still land on the certified key
     matches = identity.lookup_by_fingerprint(state, fingerprint)

@@ -249,7 +249,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     for address in led.addresses():
         kind = led.contract_kind(address)
         kinds[kind] = kinds.get(kind, 0) + 1
-    summary = ", ".join(f"{count} {kind}" for kind, count in sorted(kinds.items()))
+    summary = (", ".join(f"{count} {kind}" for kind, count in sorted(kinds.items()))
+               or "no contracts")
     print(f"replayed cleanly: height {led.height}, {len(led.log)} transactions, {summary}")
     return 0
 

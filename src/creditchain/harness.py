@@ -699,7 +699,7 @@ def audit_chain_validity(world: SimWorld, strict: bool = True) -> None:
     visited: set[bytes] = set()
     for record in led.read_state(world.registry).records.values():
         try:
-            for address, state in public_records.walk_public_records(led, record.first_public_record):
+            for address, state, _ in public_records.walk_public_records(led, record.first_public_record):
                 if address.digest in visited:
                     raise AuditFailure(f"record {address.short()} appears in two list positions")
                 visited.add(address.digest)

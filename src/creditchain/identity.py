@@ -16,7 +16,9 @@ Whether a registration is *believed* is a question for readers: they pick a
 set of institutions they trust and intersect it with the certificate list
 (`trusted_view`).  Certifying institutions are expected to run
 `approve_certification` off-chain first, which is what keeps one person from
-accumulating multiple trusted keys.
+accumulating multiple trusted keys.  Every reader lookup of a key goes
+through `get_record`, which raises `UnknownIdentity` for a key that never
+registered; on-chain, a call naming such a key is rejected `UnknownSubject`.
 
 The registry holds a record for every customer and institution, so its
 ``records`` map is a ``versioned.VersionedMap``: a registration or a record
@@ -38,12 +40,8 @@ from .ledger import Address, CallContext, CallReceipt, ContractRejected, Ledger,
 from .versioned import VersionedMap, put
 
 
-class UnknownSubject(Exception):
-    """A pure reader helper was asked about a key that never registered."""
-
-
 class UnknownIdentity(Exception):
-    """A traversal or report names an identity key with no registry record."""
+    """A reader looked up an identity key that never registered."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,8 +215,13 @@ def fingerprint_from_text(value: str) -> bytes:
     return crypto.digest(value.encode("utf-8"))
 
 
-def get_record(state: IdentityState, key: crypto.PublicKey) -> Optional[IdentityRecord]:
-    return state.records.get(key.to_bytes())
+def get_record(state: IdentityState, key: crypto.PublicKey) -> IdentityRecord:
+    """The registry record of ``key``: the one lookup every reader makes.
+    Raises UnknownIdentity for a key that never registered."""
+    record = state.records.get(key.to_bytes())
+    if record is None:
+        raise UnknownIdentity(key.short_id())
+    return record
 
 
 def lookup_by_fingerprint(state: IdentityState, fingerprint: bytes) -> tuple[crypto.PublicKey, ...]:
@@ -230,10 +233,7 @@ def lookup_by_fingerprint(state: IdentityState, fingerprint: bytes) -> tuple[cry
 def trusted_view(state: IdentityState, subject: crypto.PublicKey,
                  trust_set: set[crypto.PublicKey]) -> bool:
     """Does any key the reader trusts vouch for this subject?"""
-    record = state.records.get(subject.to_bytes())
-    if record is None:
-        raise UnknownSubject(subject.short_id())
-    return _has_trusted_certificate(record, trust_set)
+    return _has_trusted_certificate(get_record(state, subject), trust_set)
 
 
 def _has_trusted_certificate(record: IdentityRecord, trust_set: set[crypto.PublicKey]) -> bool:

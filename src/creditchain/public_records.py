@@ -29,6 +29,11 @@ Each state stays an immutable snapshot, and the log holds one entry per
 accepted write, like the ledger's own log.  The append checks all run
 before the ``added`` set is written, so a refused link writes nothing; a
 write from a state that is no longer the newest copies the set first.
+
+Off-chain, ``walk_public_records`` follows a list with one ledger read per
+record and yields each record's address, state and creation block;
+``traverse_public_records`` finds the list head with ``identity.get_record``
+and classifies what the walk yields.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import codec, crypto
-from .identity import UnknownIdentity
+from .identity import get_record
 from .ledger import (
     Address,
     CallContext,
@@ -259,11 +264,12 @@ def append_record(led: Ledger, caller: crypto.KeyPair, tail: Address,
 
 
 def walk_public_records(led: Ledger, first: Optional[bytes]
-                        ) -> Iterator[tuple[Address, PublicRecordState]]:
-    """Yield (address, state) along a list from the record whose address
-    digest is ``first`` (None: an empty list), following next pointers
-    off-chain.  Raises BrokenChain on a cycle or a dangling pointer, which
-    includes one that is not an address."""
+                        ) -> Iterator[tuple[Address, PublicRecordState, int]]:
+    """Yield (address, state, creation block) along a list from the record
+    whose address digest is ``first`` (None: an empty list), following next
+    pointers off-chain, with one ledger read per record.  Raises BrokenChain
+    on a cycle or a dangling pointer, which includes one that is not an
+    address."""
     seen: set[bytes] = set()
     cursor = first
     while cursor is not None:
@@ -274,15 +280,15 @@ def walk_public_records(led: Ledger, first: Optional[bytes]
         contract = None if address is None else led.read_contract(address)
         if contract is None or contract[0] != PublicRecordContract.KIND:
             raise BrokenChain(f"dangling pointer to {cursor.hex()}")
-        state: PublicRecordState = contract[1]
-        yield address, state
+        _, state, created = contract
+        yield address, state, created
         cursor = state.next_record
 
 
 def find_list_tail(led: Ledger, head: Address) -> Address:
     """The current end of the list that starts at ``head``."""
     tail = head
-    for tail, _ in walk_public_records(led, head.digest):
+    for tail, _, _ in walk_public_records(led, head.digest):
         pass
     return tail
 
@@ -330,21 +336,16 @@ def traverse_public_records(
     that fails comes back ``undisclosed`` with ``signature_ok=False``.
     """
     disclosures = disclosures or {}
-    registry_state = led.read_state(registry)
-    identity_record = registry_state.records.get(subject.to_bytes())
-    if identity_record is None:
-        raise UnknownIdentity(subject.short_id())
-
-    return [_classify(led, address, state, subject, trust_set, disclosures, expected_factory)
-            for address, state in walk_public_records(led, identity_record.first_public_record)]
+    first = get_record(led.read_state(registry), subject).first_public_record
+    return [_classify(address, state, created, subject, trust_set, disclosures, expected_factory)
+            for address, state, created in walk_public_records(led, first)]
 
 
-def _classify(led: Ledger, address: Address, state: PublicRecordState,
+def _classify(address: Address, state: PublicRecordState, creation: int,
               subject: crypto.PublicKey, trust_set: set[crypto.PublicKey],
               disclosures: dict[Address, RecordDisclosure],
               expected_factory: Optional[Address]) -> TraversedRecord:
     author = crypto.PublicKey.from_bytes(state.author_key)
-    creation = led.creation_block(address)
     trusted = author in trust_set
     if expected_factory is not None and state.parent_factory != expected_factory.digest:
         trusted = False

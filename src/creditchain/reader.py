@@ -17,12 +17,15 @@ Either way the reader ends up with the same facts, which is checked by the
 test suite as variant equivalence.  A verified entry also gets its
 commitment checked: the signature stored in the account must bind (account
 address, disclosed institution identity, customer identity).  Failures are
-loud — ChainMismatch for anything that contradicts chain bytes,
-CommitmentInvalid for a commitment that does not verify, and
-IncompleteDisclosure (carrying the partial report) when the chain keeps
-going past the last disclosed account.  A customer can withhold *data* for
-out-of-window accounts while still proving chain completeness; the window
-check then only passes if every in-window account has its data open.
+loud — UnknownIdentity (from ``identity.get_record``, the one registry
+lookup) for a key that never registered, ChainMismatch for anything that
+contradicts chain bytes, CommitmentInvalid for a commitment that does not
+verify, and IncompleteDisclosure when the chain keeps going past the last
+disclosed account.  The walk builds one report either way; an incomplete
+one is carried by the IncompleteDisclosure.  A customer can withhold *data*
+for out-of-window accounts while still proving chain completeness; the
+window check then only passes if the report is complete and every
+in-window account has its data open.
 ``judge`` turns those failures and a report's flags into the one verdict,
 accept or refuse with reasons, that every caller applies.
 
@@ -53,10 +56,9 @@ dict ``json.loads`` gives, one argument expression per row, so neither runs
 a loop over the rows.  ``bundle_from_json`` and ``trust_from_json`` parse
 with ``json.loads``, so they accept any JSON layout of the same document,
 including the indented files earlier versions wrote, and check its schema
-whatever the layout.  ``bundle_from_json`` decodes each public key through
-one intern table, an LRU of ``MEMO_ENTRIES`` entries that lives as long as
-the process: a key met in an earlier bundle comes back as the same
-immutable object, and a string that does not decode is never stored.  It
+whatever the layout.  Both decode each public key through one intern table,
+an LRU of ``MEMO_ENTRIES`` entries that lives as long as the process: a key
+met in an earlier bundle or trust file comes back as the same immutable object, and a string that does not decode is never stored.  It
 stays below ``KEY_TABLE_CEILING_BYTES``.  Private keys and addresses are
 decoded afresh each time, so no secret key object outlives its bundle.
 """
@@ -79,7 +81,7 @@ from .credit_account import (
     verify_commitment,
     BlobStore,
 )
-from .identity import UnknownIdentity
+from .identity import UnknownIdentity, get_record
 from .ledger import Address, Ledger
 
 
@@ -283,10 +285,7 @@ def assemble_report(led: Ledger, registry: Address, bundle: DisclosureBundle,
     never followed, so a reader holding an empty bundle learns nothing but
     the head's existence.
     """
-    registry_state = led.read_state(registry)
-    identity_record = registry_state.records.get(bundle.identity.to_bytes())
-    if identity_record is None:
-        raise UnknownIdentity(bundle.identity.short_id())
+    identity_record = get_record(led.read_state(registry), bundle.identity)
 
     entries: list[ReportEntry] = []
     pending_ciphertext = identity_record.first_credit_account
@@ -328,16 +327,16 @@ def assemble_report(led: Ledger, registry: Address, bundle: DisclosureBundle,
             claimed_next = None
             pending_nonce = None
 
-    if pending_ciphertext is not None:
-        partial = VerifiedReport(identity=bundle.identity, entries=tuple(entries),
-                                 complete=False, window=bundle.window,
-                                 window_satisfied=bundle.window is None)
-        raise IncompleteDisclosure(partial)
-
+    # An incomplete report certifies no window: the undisclosed rest of the
+    # chain may hold in-window accounts.  An empty window holds vacuously.
     window = bundle.window
-    return VerifiedReport(identity=bundle.identity, entries=tuple(entries), complete=True,
-                          window=window,
-                          window_satisfied=window is None or _window_disclosed(entries, *window))
+    complete = pending_ciphertext is None
+    report = VerifiedReport(
+        identity=bundle.identity, entries=tuple(entries), complete=complete, window=window,
+        window_satisfied=window is None or complete and _window_disclosed(entries, *window))
+    if not complete:
+        raise IncompleteDisclosure(report)
+    return report
 
 
 def _verify_link(entry: DisclosureEntry, index: int, ciphertext: bytes,
@@ -424,18 +423,6 @@ def _build_entry(address: Address, created: int, state: CreditAccountState,
     return ReportEntry(address, created, state.expiration, entry.institution_identity,
                        entry.institution_identity in trust_set, commitment_ok, disclosed,
                        data_mode, data, external_id, external_digest)
-
-
-def check_window(report: VerifiedReport, lo: int, hi: int) -> bool:
-    """True iff every account created within [lo, hi] has open data.
-
-    Vacuously true for an empty window.  An incomplete report can never
-    certify a window — undisclosed chain suffix might hide in-window
-    accounts.
-    """
-    if lo > hi:
-        return True
-    return report.complete and _window_disclosed(report.entries, lo, hi)
 
 
 def _window_disclosed(entries: Sequence[ReportEntry], lo: int, hi: int) -> bool:
@@ -714,6 +701,6 @@ def trust_from_json(text: str) -> set[crypto.PublicKey]:
         doc = json.loads(text)
         if not isinstance(doc, list) or not all(isinstance(h, str) for h in doc):
             raise ValueError("a trust file must be a JSON list of hex strings")
-        return {crypto.PublicKey.from_bytes(bytes.fromhex(h)) for h in doc}
+        return {_public_from_hex(h) for h in doc}
     except _DECODE_ERRORS as exc:
         raise MalformedInput(f"trust list does not decode: {type(exc).__name__} {exc}") from exc

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from creditchain import crypto, identity, public_records
+from creditchain import crypto, identity, public_records, reader
 from creditchain.identity import IdentityContract
 from creditchain.ledger import CallContext, Ledger, make_transaction
 
@@ -113,10 +113,23 @@ def test_decertify_requires_existing_certificate(world):
     assert not identity.trusted_view(led.read_state(registry), alice.public, {bank.public})
 
 
-def test_trusted_view_unknown_subject_raises(world):
+# Every reader path that starts from an identity key, each given a key that
+# never registered.
+UNREGISTERED_LOOKUPS = {
+    "assemble_report": lambda led, registry, ghost: reader.assemble_report(
+        led, registry, reader.DisclosureBundle(identity=ghost, entries=()), set()),
+    "traverse_public_records": lambda led, registry, ghost:
+        public_records.traverse_public_records(led, registry, ghost, set()),
+    "trusted_view": lambda led, registry, ghost:
+        identity.trusted_view(led.read_state(registry), ghost, set()),
+}
+
+
+@pytest.mark.parametrize("lookup", UNREGISTERED_LOOKUPS.values(), ids=UNREGISTERED_LOOKUPS)
+def test_unregistered_key_raises_unknown_identity(world, lookup):
     led, registry = world
-    with pytest.raises(identity.UnknownSubject):
-        identity.trusted_view(led.read_state(registry), pair("ghost").public, set())
+    with pytest.raises(identity.UnknownIdentity):
+        lookup(led, registry, pair("ghost").public)
 
 
 # -- head pointers ------------------------------------------------------------------

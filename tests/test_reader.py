@@ -76,6 +76,27 @@ def test_truncated_bundle_raises_incomplete(chain5_world):
     assert all(e.disclosed for e in partial.entries)
 
 
+def test_partial_report_is_a_prefix_of_the_complete_one(chain5_world):
+    """Whatever the cut, the variant or the window, the report an
+    IncompleteDisclosure carries is incomplete, holds the complete report's
+    first entries, and satisfies a window only when none was asked for."""
+    world = chain5_world
+    names = world.chain_names("cust")
+    blocks = [e.creation_block for e in assemble(world, world.build_bundle("cust")).entries]
+    for window in (None, (min(blocks), max(blocks))):
+        for variant in ("keys", "plaintext"):
+            whole = assemble(world, world.build_bundle("cust", variant=variant, window=window))
+            for upto in range(len(names)):
+                with pytest.raises(reader.IncompleteDisclosure) as err:
+                    assemble(world, world.build_bundle("cust", variant=variant, window=window,
+                                                       upto=upto))
+                partial = err.value.report
+                assert not partial.complete
+                assert partial.entries == whole.entries[:upto]
+                assert partial.window == window
+                assert partial.window_satisfied == (window is None)
+
+
 def test_empty_bundle_on_nonempty_chain(chain5_world):
     world = chain5_world
     bundle = dataclasses.replace(world.build_bundle("cust"), entries=(), head_nonce=None)
@@ -142,11 +163,18 @@ def test_incomplete_report_never_satisfies_window(chain5_world):
     with pytest.raises(reader.IncompleteDisclosure) as err:
         assemble(world, bundle)
     assert not err.value.report.window_satisfied
-    assert not reader.check_window(err.value.report, *full)
+
+
+def _window_disclosed(report, window):
+    """The window rule, stated apart from the reader: the report is complete
+    and every entry created within the window has its data disclosed."""
+    lo, hi = window
+    return report.complete and all(e.disclosed for e in report.entries
+                                   if lo <= e.creation_block <= hi)
 
 
 def test_window_verdict_is_check_windows(chain5_world):
-    """The verdict a windowed report carries is what ``check_window`` says of
+    """The verdict a windowed report carries is what the window rule says of
     it, over the windows and withheld sets the tests above use."""
     world = chain5_world
     names = world.chain_names("cust")
@@ -160,7 +188,7 @@ def test_window_verdict_is_check_windows(chain5_world):
                 report = assemble(world, world.build_bundle("cust", variant=variant,
                                                             window=window, withhold=withhold))
                 assert report.window == window
-                assert report.window_satisfied == reader.check_window(report, *window)
+                assert report.window_satisfied == _window_disclosed(report, window)
                 verdicts.add(report.window_satisfied)
     assert verdicts == {True, False}
 

@@ -614,6 +614,14 @@ def test_export_and_replay(capsys, tmp_path):
     assert "5 credit_account" in out
 
 
+def test_replay_of_a_ledger_with_no_contracts_says_so(capsys, tmp_path):
+    out_file = tmp_path / "empty.bin"
+    out_file.write_bytes(Ledger().export())
+    code, out, _ = run_cli(capsys, "replay", out_file)
+    assert code == 0
+    assert out == "replayed cleanly: height 0, 0 transactions, no contracts\n"
+
+
 def test_replay_rejects_corrupted_export(capsys, tmp_path):
     out_file = tmp_path / "exported.bin"
     run_cli(capsys, "export-ledger", out_file, "--scenario", LIFECYCLE)
