@@ -254,6 +254,11 @@ class SimWorld:
             cursor = self.accounts[cursor].next_name
         return list(names)
 
+    def outside_chain(self, customer: str, names: list[str]) -> list[str]:
+        """Each distinct name in ``names`` outside ``customer``'s whole chain."""
+        chain = self.chain_names(customer)
+        return [name for name in dict.fromkeys(names) if name not in chain]
+
     def build_bundle(self, customer: str, variant: str = "keys",
                      window: Optional[tuple[int, int]] = None,
                      withhold: frozenset[str] = frozenset(),
@@ -639,9 +644,15 @@ class _Runner:
     def _cmd_disclose(self, customer: str, variant: str,
                       window: Optional[tuple[int, int]] = None, upto: tuple[int, ...] = (),
                       withhold: tuple[AccountHandle, ...] = ()) -> Outcome:
+        if window and window[0] > window[1]:
+            raise ValueError("WINDOW FROM must not be after TO")
         world = self.world
-        bundle = world.build_bundle(customer, variant, window=window,
-                                    withhold=frozenset(h.name for h in withhold),
+        withheld = [h.name for h in withhold]
+        strangers = world.outside_chain(customer, withheld)
+        if strangers:
+            raise ValueError(f"WITHHOLD names no account in {customer}'s chain: "
+                             + ", ".join(map(repr, strangers)))
+        bundle = world.build_bundle(customer, variant, window=window, withhold=frozenset(withheld),
                                     upto=upto[0] if upto else None)
         verdict = reader.judge(world.ledger, world.registry, bundle,
                                world.trust_set(), blob_store=world.blobs)
@@ -771,13 +782,13 @@ def observer_link_scan(world: SimWorld) -> None:
     """What a keyless observer can try on pointer ciphertexts: read an
     address out of them, or correlate repeats.  Both must come up empty."""
     led = world.ledger
-    account_kind = accounts.CreditAccountContract.KIND
-    addresses = {a.digest for a in led.contracts_by_kind(account_kind)}
+    account_addresses = led.contracts_by_kind(accounts.CreditAccountContract.KIND)
+    addresses = {a.digest for a in account_addresses}
     ciphertexts: list[bytes] = []
     for record in led.read_state(world.registry).records.values():
         if record.first_credit_account is not None:
             ciphertexts.append(record.first_credit_account)
-    for address in led.contracts_by_kind(account_kind):
+    for address in account_addresses:
         state = led.read_state(address)
         if state.next_account is not None:
             ciphertexts.append(state.next_account)

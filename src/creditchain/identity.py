@@ -46,7 +46,6 @@ class UnknownIdentity(Exception):
 
 @dataclass(frozen=True, slots=True)
 class IdentityRecord:
-    key: bytes
     fingerprint: bytes
     first_public_record: Optional[bytes] = None  # plaintext contract address
     first_credit_account: Optional[bytes] = None  # opaque ciphertext
@@ -93,13 +92,13 @@ class IdentityContract:
 
     @staticmethod
     def encode_state(state: IdentityState) -> bytes:
-        # Field order per record: key, fingerprint, optional record head,
-        # optional account head, certificate list.  Records in registration
-        # order.  The fingerprint index is derivable and not serialized.
+        # Field order per record: its ``records`` key, fingerprint, optional
+        # record head, optional account head, certificate list.  Records in
+        # registration order.  The fingerprint index is derivable and not serialized.
         parts = [codec.u32(len(state.records))]
-        for record in state.records.values():
+        for key, record in state.records.items():
             parts.append(codec.pack(
-                record.key,
+                key,
                 record.fingerprint,
                 codec.opt(record.first_public_record),
                 codec.opt(record.first_credit_account),
@@ -113,60 +112,52 @@ def _register(state: IdentityState, ctx: CallContext, fingerprint: bytes) -> Ide
         raise ContractRejected("BadArguments")
     if ctx.caller in state.records:
         raise ContractRejected("KeyAlreadyRegistered")
-    return IdentityState(records=put(state.records, ctx.caller,
-                                     IdentityRecord(key=ctx.caller, fingerprint=fingerprint)))
+    return IdentityState(records=put(state.records, ctx.caller, IdentityRecord(fingerprint=fingerprint)))
 
 
-def _subject_record(state: IdentityState, args: bytes) -> IdentityRecord:
-    record = state.records.get(args)
+def _registered(state: IdentityState, key: bytes, reason: str) -> IdentityRecord:
+    record = state.records.get(key)
     if record is None:
-        raise ContractRejected("UnknownSubject")
+        raise ContractRejected(reason)
     return record
 
 
-def _replace_record(state: IdentityState, record: IdentityRecord) -> IdentityState:
-    return IdentityState(records=put(state.records, record.key, record))
+def _replace_record(state: IdentityState, key: bytes, record: IdentityRecord) -> IdentityState:
+    return IdentityState(records=put(state.records, key, record))
 
 
 def _certify(state: IdentityState, ctx: CallContext, args: bytes) -> IdentityState:
-    record = _subject_record(state, args)
+    record = _registered(state, args, "UnknownSubject")
     if ctx.caller in record.certificates:  # idempotent
         return state
-    return _replace_record(state, evolve(record, certificates=record.certificates + (ctx.caller,)))
+    return _replace_record(state, args, evolve(record, certificates=record.certificates + (ctx.caller,)))
 
 
 def _decertify(state: IdentityState, ctx: CallContext, args: bytes) -> IdentityState:
-    record = _subject_record(state, args)
+    record = _registered(state, args, "UnknownSubject")
     if ctx.caller not in record.certificates:
         raise ContractRejected("NotACertifier")
     remaining = tuple(k for k in record.certificates if k != ctx.caller)
-    return _replace_record(state, evolve(record, certificates=remaining))
-
-
-def _own_record(state: IdentityState, ctx: CallContext) -> IdentityRecord:
-    record = state.records.get(ctx.caller)
-    if record is None:
-        raise ContractRejected("UnknownCaller")
-    return record
+    return _replace_record(state, args, evolve(record, certificates=remaining))
 
 
 def _set_credit_head(state: IdentityState, ctx: CallContext, ciphertext: bytes) -> IdentityState:
-    record = _own_record(state, ctx)
+    record = _registered(state, ctx.caller, "UnknownCaller")
     if record.first_credit_account is not None:
         raise ContractRejected("PointerAlreadySet")
     # The ciphertext is stored as handed in; nothing on-chain can check what
     # it decrypts to, and nothing tries.
-    return _replace_record(state, evolve(record, first_credit_account=ciphertext))
+    return _replace_record(state, ctx.caller, evolve(record, first_credit_account=ciphertext))
 
 
 def _set_record_head(state: IdentityState, ctx: CallContext, args: bytes) -> IdentityState:
-    record = _own_record(state, ctx)
+    record = _registered(state, ctx.caller, "UnknownCaller")
     if record.first_public_record is not None:
         raise ContractRejected("PointerAlreadySet")
     from . import public_records  # runtime import; the two modules share the append checks
 
     public_records.enforce_append_checks(ctx, args, required_factory=None)
-    return _replace_record(state, evolve(record, first_public_record=args))
+    return _replace_record(state, ctx.caller, evolve(record, first_public_record=args))
 
 
 # ---------------------------------------------------------------------------

@@ -280,9 +280,10 @@ class CallContext:
     """Restricted view of the ledger handed to a transition function.
 
     Exposes the caller key, the executing contract's address, the current
-    block height, and staged cross-contract access.  All reads observe
-    changes staged earlier in the same transaction; nothing becomes visible
-    outside until the transaction commits.
+    block height, ``resolve`` to read another contract, and staged
+    cross-contract access.  All reads observe contracts created and changes
+    staged earlier in the same transaction; nothing becomes visible outside
+    until the transaction commits.
     """
 
     __slots__ = ("_ledger", "_tx", "_seq", "caller", "self_address", "height",
@@ -299,16 +300,20 @@ class CallContext:
         self.created: dict[Address, tuple[Any, Any]] = {}  # addr -> (cls, state)
         self.result: Optional[bytes] = None
 
-    def try_read(self, address: Address) -> Optional[tuple[str, Any]]:
-        """(kind, state) for an address, or None if nothing lives there."""
-        if address in self.created:
-            cls, state = self.created[address]
-            return cls.KIND, state
-        record = self._ledger._contracts.get(address)
-        if record is None:
+    def resolve(self, pointer: bytes, cls: Any) -> Any:
+        """The state of the ``cls`` contract at the raw ``pointer``, as this
+        transaction sees it; None, never an exception, for a pointer that is
+        not 32 bytes, an address with no contract, or a contract of another kind."""
+        if len(pointer) != crypto.DIGEST_SIZE:
             return None
-        state = self.staged.get(address, record.state)
-        return record.cls.KIND, state
+        address = Address(pointer)
+        found = self.created.get(address)
+        if found is not None:
+            return found[1] if found[0] is cls else None
+        record = self._ledger._contracts.get(address)
+        if record is None or record.cls is not cls:
+            return None
+        return self.staged.get(address, record.state)
 
     def stage(self, address: Address, new_state: Any) -> None:
         """Queue a state change for another contract touched by this call."""
@@ -473,13 +478,12 @@ class Ledger:
     def exists(self, address: Address) -> bool:
         return address in self._contracts
 
-    def read_contract(self, address: Address) -> Optional[tuple[str, Any, int]]:
-        """(kind, state, creation block) of the contract at ``address``, or
-        None if nothing lives there: what ``contract_kind``, ``read_state``
-        and ``creation_block`` return, found with one lookup.  The state is
-        a snapshot, as ``read_state`` describes."""
+    def read_contract(self, address: Address, cls: Any) -> Optional[tuple[Any, int]]:
+        """(state, creation block) of the ``cls`` contract at ``address``,
+        found with one lookup; None if no contract or one of another kind
+        lives there.  The state is a snapshot, as ``read_state`` describes."""
         record = self._contracts.get(address)
-        return None if record is None else (record.cls.KIND, record.state, record.created)
+        return None if record is None or record.cls is not cls else (record.state, record.created)
 
     def contract_kind(self, address: Address) -> str:
         return self._record(address).cls.KIND

@@ -15,6 +15,9 @@ tail — must pass the same four checks against the record being linked:
    tail of records past the checks.
 
 Rejections carry the check number: ``InvalidRecord(1)`` … ``InvalidRecord(4)``.
+Check 1 reads the record and its factory with ``CallContext.resolve``, which
+answers None alike for a pointer that is not 32 bytes, an empty address and
+a contract of another kind, so each of those fails check 1.
 
 The factory mints records on request for any caller and keeps two
 append-only sets: everything it minted, and the subset that has been linked
@@ -162,12 +165,11 @@ class PublicRecordContract:
 def _fill(state: PublicRecordState, ctx: CallContext, args: bytes) -> PublicRecordState:
     if ctx.caller != state.author_key:
         raise ContractRejected("NotAuthor")
-    factory = ctx.try_read(Address(state.parent_factory)) if len(state.parent_factory) == 32 else None
-    if factory is not None and factory[0] == RecordFactoryContract.KIND:
-        # Authors may rewrite their record while it is still loose; once it
-        # sits in somebody's list its content is frozen.
-        if ctx.self_address.digest in factory[1].added:
-            raise ContractRejected("RecordFrozen")
+    # Authors may rewrite their record while it is still loose; once it sits
+    # in somebody's list its content is frozen.
+    factory = ctx.resolve(state.parent_factory, RecordFactoryContract)
+    if factory is not None and ctx.self_address.digest in factory.added:
+        raise ContractRejected("RecordFrozen")
     try:
         mode_raw, data, signature = codec.unpack(args, 3)
     except codec.DecodeError as exc:
@@ -191,21 +193,12 @@ def enforce_append_checks(ctx: CallContext, new_record: bytes,
     both.
     """
     # 1 — must resolve to a record vouched for by the right factory
-    if len(new_record) != crypto.DIGEST_SIZE:
+    record_state = ctx.resolve(new_record, PublicRecordContract)
+    if record_state is None:
         raise ContractRejected("InvalidRecord(1)")
-    found = ctx.try_read(Address(new_record))
-    if found is None or found[0] != PublicRecordContract.KIND:
-        raise ContractRejected("InvalidRecord(1)")
-    record_state: PublicRecordState = found[1]
     factory_digest = required_factory if required_factory is not None else record_state.parent_factory
-    if len(factory_digest) != crypto.DIGEST_SIZE:
-        raise ContractRejected("InvalidRecord(1)")
-    factory_address = Address(factory_digest)
-    factory_found = ctx.try_read(factory_address)
-    if factory_found is None or factory_found[0] != RecordFactoryContract.KIND:
-        raise ContractRejected("InvalidRecord(1)")
-    factory_state: FactoryState = factory_found[1]
-    if new_record not in factory_state.minted:
+    factory_state = ctx.resolve(factory_digest, RecordFactoryContract)
+    if factory_state is None or new_record not in factory_state.minted:
         raise ContractRejected("InvalidRecord(1)")
     # 2 — only the author may place their record
     if ctx.caller != record_state.author_key:
@@ -217,7 +210,8 @@ def enforce_append_checks(ctx: CallContext, new_record: bytes,
     if record_state.next_record is not None:
         raise ContractRejected("InvalidRecord(4)")
     # all four hold: mark the record in the same transaction as its link
-    ctx.stage(factory_address, evolve(factory_state, added=put(factory_state.added, new_record, None)))
+    ctx.stage(Address(factory_digest),
+              evolve(factory_state, added=put(factory_state.added, new_record, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +271,10 @@ def walk_public_records(led: Ledger, first: Optional[bytes]
             raise BrokenChain(f"cycle through {cursor.hex()}")
         seen.add(cursor)
         address = Address(cursor) if len(cursor) == crypto.DIGEST_SIZE else None
-        contract = None if address is None else led.read_contract(address)
-        if contract is None or contract[0] != PublicRecordContract.KIND:
+        contract = None if address is None else led.read_contract(address, PublicRecordContract)
+        if contract is None:
             raise BrokenChain(f"dangling pointer to {cursor.hex()}")
-        _, state, created = contract
+        state, created = contract
         yield address, state, created
         cursor = state.next_record
 

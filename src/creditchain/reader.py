@@ -301,10 +301,10 @@ def assemble_report(led: Ledger, registry: Address, bundle: DisclosureBundle,
 
         _verify_link(entry, index, pending_ciphertext, pending_nonce)
 
-        contract = led.read_contract(address)
-        if contract is None or contract[0] != CreditAccountContract.KIND:
+        contract = led.read_contract(address, CreditAccountContract)
+        if contract is None:
             raise ChainMismatch(f"entry {index} does not point at a credit account")
-        _, state, created = contract
+        state, created = contract
 
         commitment_ok = False
         if state.commitment is not None:

@@ -14,8 +14,8 @@ ACCOUNT = CreditAccountState(customer_key=b"c" * 64, institution_key=b"i" * 64, 
                              next_account=b"n", pending_expiration=(12, b"c" * 64))
 RECORD = PublicRecordState(author_key=b"a" * 64, parent_factory=b"f" * 32,
                            data_mode="plaintext", data=b"lien", signature=b"s")
-IDENTITY = IdentityRecord(key=b"k" * 64, fingerprint=b"p" * 32,
-                         first_credit_account=b"head", certificates=(b"cert",))
+IDENTITY = IdentityRecord(fingerprint=b"p" * 32, first_credit_account=b"head",
+                          certificates=(b"cert",))
 
 
 @pytest.mark.parametrize("state, changes", [

@@ -149,6 +149,29 @@ def test_malformed_arguments_are_parse_errors(line):
     assert err.value.line_no == len(text.splitlines())
 
 
+# What ``creditchain disclose`` refuses in its flags, a scenario refuses in
+# its DISCLOSE: an inverted window, and withheld accounts outside the
+# customer's chain, which is checked whole, before UPTO truncates it.
+@pytest.mark.parametrize("line, message", [
+    ("DISCLOSE ana keys WINDOW 9 3", "WINDOW FROM must not be after TO"),
+    ("DISCLOSE ana keys WINDOW 9 3 WITHHOLD acct", "WINDOW FROM must not be after TO"),
+    ("DISCLOSE ana keys WITHHOLD acct2", "WITHHOLD names no account in ana's chain: 'acct2'"),
+    ("DISCLOSE ana plaintext UPTO 1 WITHHOLD acct3 acct acct2 acct3",
+     "WITHHOLD names no account in ana's chain: 'acct3', 'acct2'"),
+], ids=["inverted-window", "inverted-window-then-withhold", "unlinked-account",
+        "strangers-in-order"])
+def test_disclose_refuses_what_the_cli_refuses(line, message):
+    text = MINI + "CEREMONY ana bank acct2\nCEREMONY ana bank acct3\n" + line + "\n"
+    with pytest.raises(ParseError) as err:
+        run_scenario(text)
+    assert str(err.value) == f"line {len(text.splitlines())}: {message}"
+
+
+def test_disclose_withholds_an_account_that_upto_leaves_out():
+    text = MINI + "DISCLOSE ana keys WINDOW 3 3 UPTO 0 WITHHOLD acct\nEXPECT REPORT-INCOMPLETE\n"
+    assert run_scenario(text).transcript.endswith("EXPECT REPORT-INCOMPLETE -> OK\n")
+
+
 def test_a_usage_error_names_every_form_of_the_command():
     with pytest.raises(ParseError) as err:
         run_scenario(MINI + "LINK acct SIDEWAYS ana\n")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creditchain import codec, crypto
+from creditchain import codec, crypto, identity
 from creditchain.ledger import (
     EXPORT_MAGIC,
     EXPORT_VERSION,
@@ -52,14 +52,20 @@ class ProbeContract:
         if function == "set":
             return replace(state, value=args)
         if function == "poke_peer":
-            peer = Address(args[:32])
-            read = ctx.try_read(peer)
+            read = ctx.resolve(args[:32], ProbeContract)
             if read is None:
                 raise ContractRejected("UnknownPeer")
-            ctx.stage(peer, replace(read[1], value=b"poked"))
+            ctx.stage(Address(args[:32]), replace(read, value=b"poked"))
             if args[32:] == b"fail":
                 raise ContractRejected("ProbeAbort")
             return None
+        if function == "peek":  # the result: the value of the probe at ``args``
+            return _peek(ctx, args)
+        if function == "spawn_peek":  # a probe created earlier in this transaction
+            return _peek(ctx, ctx.deploy(ProbeContract.KIND, b"child").digest)
+        if function == "poke_peek":  # a state staged earlier in this transaction
+            ProbeContract.apply(state, ctx, "poke_peer", args)
+            return _peek(ctx, args)
         if function == "spawn":
             child = ctx.deploy(ProbeContract.KIND, b"child")
             ctx.set_result(child.digest)
@@ -71,6 +77,13 @@ class ProbeContract:
     @staticmethod
     def encode_state(state):
         return codec.pack(state.value)
+
+
+def _peek(ctx, pointer):
+    """Set the result to the value of the probe ``pointer`` resolves to, or
+    to ``None`` when it resolves to nothing; the caller's state is unchanged."""
+    found = ctx.resolve(pointer, ProbeContract)
+    ctx.set_result(b"None" if found is None else found.value)
 
 
 @pytest.fixture
@@ -354,6 +367,42 @@ def test_staged_peer_update_rolls_back_on_rejection(led, alice):
     receipt = led.call(alice, a, "poke_peer", b.digest + b"fail")
     assert not receipt.accepted and receipt.reason == "ProbeAbort"
     assert led.read_state(b) == ProbeState(b"init")
+
+
+# -- resolving a pointer inside a transition ------------------------------------
+
+
+@pytest.mark.parametrize("pointer", [b"", b"\x01" * 31, b"\x01" * 33, b"\x01" * 32],
+                         ids=["0-bytes", "31-bytes", "33-bytes", "unknown-address"])
+def test_resolve_finds_nothing_behind_a_pointer_that_names_no_probe(led, alice, pointer):
+    a = deploy_probe(led, alice)
+    assert led.call(alice, a, "peek", pointer).result == b"None"
+
+
+def test_resolve_finds_nothing_in_a_contract_of_another_kind(led, alice):
+    a = deploy_probe(led, alice)
+    registry = identity.deploy_registry(led, alice)
+    assert led.call(alice, a, "peek", registry.digest).result == b"None"
+    assert led.call(alice, a, "peek", a.digest).result == b"init"
+
+
+def test_resolve_sees_a_contract_created_earlier_in_the_transaction(led, alice):
+    a = deploy_probe(led, alice)
+    assert led.call(alice, a, "spawn_peek", b"").result == b"child"
+
+
+def test_resolve_sees_a_state_staged_earlier_in_the_transaction(led, alice):
+    a = deploy_probe(led, alice)
+    b = deploy_probe(led, alice)
+    assert led.call(alice, a, "poke_peek", b.digest).result == b"poked"
+
+
+def test_a_short_peer_pointer_is_refused_and_logged(led, alice):
+    a = deploy_probe(led, alice)
+    receipt = led.call(alice, a, "poke_peer", b"\x01" * 5)
+    assert not receipt.accepted and receipt.reason == "UnknownPeer"
+    logged = led.log[-1]
+    assert (logged.block, logged.accepted, logged.reason) == (receipt.block, False, "UnknownPeer")
 
 
 def test_sub_deploy_commits_with_result(led, alice):

@@ -148,8 +148,10 @@ def test_check1_rejects_non_record_target(world):
     head = start_list(led, registry, factory, author)
     receipt = led.call(author, head, "append", factory.digest)  # a factory, not a record
     assert receipt.reason == "InvalidRecord(1)"
-    receipt = led.call(author, head, "append", b"\x00" * 7)  # not even an address
-    assert receipt.reason == "InvalidRecord(1)"
+    # not even an address, or an address with nothing behind it
+    for pointer in (b"\x00" * 7, b"", b"\x00" * 31, b"\x00" * 33, b"\x00" * 32):
+        receipt = led.call(author, head, "append", pointer)
+        assert receipt.reason == "InvalidRecord(1)"
 
 
 def test_check2_rejects_non_author(world):

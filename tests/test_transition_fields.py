@@ -58,7 +58,7 @@ def _check_every_commit(led):
     whose function was seen to change something."""
     seen = set()
     for address in led.addresses():
-        kind = led.read_contract(address)[0]
+        kind = led.contract_kind(address)
         history = led.history(address)
         for previous, entry in zip(history, history[1:]):
             function = entry.tx.function if entry.tx.target == address else STAGED

@@ -16,8 +16,8 @@ KEYS = [bytes([i]) * 32 for i in range(6)]
 ABSENT = b"\xff" * 32
 
 
-def _record(key: bytes, tag: int) -> IdentityRecord:
-    return IdentityRecord(key=key, fingerprint=bytes([tag]) * 32,
+def _record(tag: int) -> IdentityRecord:
+    return IdentityRecord(fingerprint=bytes([tag]) * 32,
                           certificates=tuple(bytes([c]) * 32 for c in range(tag % 3)))
 
 
@@ -53,7 +53,7 @@ def test_every_saved_version_matches_its_dict(writes):
         records, records_model, members, members_model = saved[-1 - back % len(saved)]
         if from_dict:
             records, members = dict(records_model), dict(members_model)
-        value = _record(key, tag)
+        value = _record(tag)
         saved.append((put(records, key, value), {**records_model, key: value},
                       put(members, key, None), {**members_model, key: None}))
         for records, records_model, members, members_model in saved:
