@@ -276,14 +276,9 @@ class SimWorld:
         if upto is not None:
             names = names[:upto]
         entries: list[reader.DisclosureEntry] = []
-        head_nonce: Optional[bytes] = None
-        for position, name in enumerate(names):
+        for name in names:
             handle = self.accounts[name]
             assert handle.address is not None and handle.link_nonce is not None
-            if position == 0 and variant == "plaintext":
-                # Key disclosures never consume the head nonce (the pointer
-                # key opens the link directly), so don't ship it with them.
-                head_nonce = handle.link_nonce
             inst_key = self.actor(handle.institution).public
             open_data = name not in withhold
             if variant == "keys":
@@ -294,14 +289,12 @@ class SimWorld:
                     data_key=handle.customer_view.shared_data.private if open_data else None,
                 ))
             else:
-                nxt = self.accounts[handle.next_name] if handle.next_name else None
                 disclose_data = open_data and handle.latest_payload is not None
                 entries.append(reader.PlaintextDisclosure(
                     address=handle.address,
                     institution_identity=inst_key,
                     pointer_public_key=handle.customer_view.shared_pointer.public,
-                    next_address=nxt.address if nxt else None,
-                    next_nonce=nxt.link_nonce if nxt else None,
+                    link_nonce=handle.link_nonce,
                     data_plaintext=handle.latest_payload if disclose_data else None,
                     data_nonce=(self.data_nonce(name, handle.update_count - 1)
                                 if disclose_data else None),
@@ -309,8 +302,7 @@ class SimWorld:
                                      if disclose_data else None),
                 ))
         return reader.DisclosureBundle(identity=self.actor(customer).public,
-                                       entries=tuple(entries), head_nonce=head_nonce,
-                                       window=window)
+                                       entries=tuple(entries), window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +405,10 @@ _EXPIRATION = _Syntax(("<opened> customer <u64>", "<opened> institution <u64>",
 
 # Every scenario command and the argument forms it accepts.  In a form, a
 # word in angle brackets is an argument of that kind (see ``_KINDS``) and any
-# other word a keyword spelled as written; ``<kind>...`` takes every
-# remaining token.  A line takes the first form whose keywords and length
-# fit, and each handler receives the converted words, keywords included.
+# other word a keyword spelled as written; ``<kind>...`` takes every token
+# up to the next option keyword, and an option may be given once.  A line
+# takes the first form whose keywords and length fit, and each handler
+# receives the converted words, keywords included.
 _COMMANDS: dict[str, _Syntax] = {
     "GENKEY": _Syntax(("<text>",)),
     "ADVANCE": _Syntax(("<u64>",)),
@@ -514,13 +507,17 @@ class _Runner:
         else:
             raise ValueError(_usage(command))
         values = self._convert(words, args)
+        options = {o.split()[0]: o.split() for o in syntax.options}
         rest = args[len(words):]
         while rest:
-            words = next((o.split() for o in syntax.options if o.split()[0] == rest[0]), [])
-            if words and words[-1].endswith("..."):  # that kind for each word left
-                words = words[:-1] + [words[-1][:-3]] * (len(rest) - len(words) + 1)
+            words = options.get(rest[0], [])
+            if words and words[-1].endswith("..."):  # that kind up to the next option
+                end = next((i for i, t in enumerate(rest[1:], 1) if t in options), len(rest))
+                words = words[:-1] + [words[-1][:-3]] * (end - len(words) + 1)
             if not words or not _fits(words, rest[:len(words)]):
                 raise ValueError(_usage(command))
+            if rest[0].lower() in named:
+                raise ValueError(f"{rest[0]} given twice; {_usage(command)}")
             named[rest[0].lower()] = tuple(self._convert(words[1:], rest[1:]))
             rest = rest[len(words):]
         return values, named

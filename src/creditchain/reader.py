@@ -12,6 +12,9 @@ variants exist per account, and a bundle may mix them:
   with the nonces used at encryption time.  The reader *re-encrypts* each
   disclosed value and compares against the ciphertext sitting on-chain;
   byte equality proves the disclosure honest without revealing any key.
+  Each entry carries the nonce of the link that points at its own account,
+  so every link is checked from that entry alone, whatever variant the
+  entries around it use.
 
 Either way the reader ends up with the same facts, which is checked by the
 test suite as variant equivalence.  A verified entry also gets its
@@ -129,19 +132,16 @@ class KeyDisclosure:
 class PlaintextDisclosure:
     """Share plaintexts and nonces instead of keys.
 
-    ``next_address``/``next_nonce`` describe this account's own next-pointer
-    field (None at the chain terminal).  ``pointer_public_key`` is the shared
-    pointer key of *this* account — the key under which the link pointing at
-    this account was encrypted.  The nonce for that incoming link travels in
-    the previous entry's ``next_nonce`` (or in the bundle's ``head_nonce``
-    for the first account).
+    ``pointer_public_key`` and ``link_nonce`` are the shared pointer key of
+    *this* account and the nonce under which the link pointing at this
+    account was encrypted: the registry's head pointer for the first
+    account, the previous account's next pointer for any other.
     """
 
     address: Address
     institution_identity: crypto.PublicKey
     pointer_public_key: crypto.PublicKey
-    next_address: Optional[Address] = None
-    next_nonce: Optional[bytes] = None
+    link_nonce: bytes
     data_plaintext: Optional[bytes] = None
     data_nonce: Optional[bytes] = None
     data_public_key: Optional[crypto.PublicKey] = None
@@ -154,7 +154,6 @@ DisclosureEntry = Union[KeyDisclosure, PlaintextDisclosure]
 class DisclosureBundle:
     identity: crypto.PublicKey
     entries: tuple[DisclosureEntry, ...]
-    head_nonce: Optional[bytes] = None
     window: Optional[tuple[int, int]] = None
 
 
@@ -289,17 +288,12 @@ def assemble_report(led: Ledger, registry: Address, bundle: DisclosureBundle,
 
     entries: list[ReportEntry] = []
     pending_ciphertext = identity_record.first_credit_account
-    pending_nonce = bundle.head_nonce
-    claimed_next: Optional[bytes] = None  # plaintext-variant claim to cross-check
 
     for index, entry in enumerate(bundle.entries):
         if pending_ciphertext is None:
             raise ChainMismatch(f"entry {index} lies beyond the chain terminal")
         address = entry.address
-        if claimed_next is not None and claimed_next != address.digest:
-            raise ChainMismatch(f"entry {index} does not match the previously claimed link")
-
-        _verify_link(entry, index, pending_ciphertext, pending_nonce)
+        _verify_link(entry, index, pending_ciphertext)
 
         contract = led.read_contract(address, CreditAccountContract)
         if contract is None:
@@ -318,14 +312,6 @@ def assemble_report(led: Ledger, registry: Address, bundle: DisclosureBundle,
                                     disclosed, payload, trust_set, blob_store))
 
         pending_ciphertext = state.next_account
-        if isinstance(entry, PlaintextDisclosure):
-            if entry.next_address is not None and pending_ciphertext is None:
-                raise ChainMismatch(f"entry {index} claims a link the chain does not have")
-            claimed_next = None if entry.next_address is None else entry.next_address.digest
-            pending_nonce = entry.next_nonce
-        else:
-            claimed_next = None
-            pending_nonce = None
 
     # An incomplete report certifies no window: the undisclosed rest of the
     # chain may hold in-window accounts.  An empty window holds vacuously.
@@ -339,8 +325,7 @@ def assemble_report(led: Ledger, registry: Address, bundle: DisclosureBundle,
     return report
 
 
-def _verify_link(entry: DisclosureEntry, index: int, ciphertext: bytes,
-                 nonce: Optional[bytes]) -> None:
+def _verify_link(entry: DisclosureEntry, index: int, ciphertext: bytes) -> None:
     """Prove that the pending encrypted pointer designates entry.address."""
     if isinstance(entry, KeyDisclosure):
         try:
@@ -350,10 +335,8 @@ def _verify_link(entry: DisclosureEntry, index: int, ciphertext: bytes,
         if revealed != entry.address.digest:
             raise ChainMismatch(f"entry {index}: link points elsewhere")
         return
-    if nonce is None:
-        raise ChainMismatch(f"entry {index}: no nonce available to check the link")
     try:
-        expected = _encrypt(entry.pointer_public_key, nonce, entry.address.digest)
+        expected = _encrypt(entry.pointer_public_key, entry.link_nonce, entry.address.digest)
     except Exception as exc:  # malformed disclosed key material
         raise ChainMismatch(f"entry {index}: link re-encryption failed") from exc
     if expected != ciphertext:
@@ -579,8 +562,7 @@ _ENTRY_FORMATS = {
         ("address", _ADDRESS, True),
         ("institution_identity", _PUBLIC, True),
         ("pointer_public_key", _PUBLIC, True),
-        ("next_address", _ADDRESS, False),
-        ("next_nonce", _BYTES, False),
+        ("link_nonce", _BYTES, True),
         ("data_plaintext", _BYTES, False),
         ("data_nonce", _BYTES, False),
         ("data_public_key", _PUBLIC, False),
@@ -612,7 +594,6 @@ def _read_entries(value: Any) -> tuple[DisclosureEntry, ...]:
 _BUNDLE_FIELDS = (
     ("identity", _PUBLIC, True),
     ("entries", (_write_entries, _read_entries), True),
-    ("head_nonce", _BYTES, False),
     ("window", (lambda w: json.dumps(list(w)), _read_window), False),
 )
 

@@ -308,9 +308,6 @@ def test_criterion_05_single_byte_tamper_detection():
         reader.assemble_report(world.ledger, world.registry, bundle, trust)  # sanity
 
         cases = [(None, "identity", v) for v in _tamper_variants(bundle.identity)]
-        if bundle.head_nonce is not None:
-            cases += [(None, "head_nonce", v)
-                      for v in _tamper_variants(bundle.head_nonce)]
         for index, entry in enumerate(bundle.entries):
             for field in dataclasses.fields(entry):
                 value = getattr(entry, field.name)

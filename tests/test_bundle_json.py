@@ -45,7 +45,7 @@ def _tree(bundle):
                    for f in dataclasses.fields(entry)}}
                for entry in bundle.entries]
     return {"entries": entries, "identity": _tree_value(bundle.identity),
-            "head_nonce": _tree_value(bundle.head_nonce), "window": _tree_value(bundle.window)}
+            "window": _tree_value(bundle.window)}
 
 
 _reference = json.JSONEncoder(sort_keys=True).encode
@@ -58,12 +58,10 @@ _blob = st.binary(max_size=40)
 
 _key_entries = st.builds(reader.KeyDisclosure, _address, _public, _private,
                          st.none() | _private)
-_plaintext_entries = st.builds(reader.PlaintextDisclosure, _address, _public, _public,
-                               st.none() | _address, st.none() | _blob, st.none() | _blob,
-                               st.none() | _blob, st.none() | _public)
+_plaintext_entries = st.builds(reader.PlaintextDisclosure, _address, _public, _public, _blob,
+                               st.none() | _blob, st.none() | _blob, st.none() | _public)
 _bundles = st.builds(reader.DisclosureBundle, _public,
                      st.lists(_key_entries | _plaintext_entries, max_size=4).map(tuple),
-                     st.none() | _blob,
                      st.none() | st.tuples(st.integers(), st.integers()))
 
 

@@ -19,8 +19,8 @@ LIFECYCLE = Path(__file__).parent.parent / "scenarios" / "lifecycle.scn"
 # sha256 of bundle_to_json on the chain5 bundle with window (3, 9) and acct1
 # withheld; a key renamed in both writer and reader would still round-trip
 BUNDLE_JSON_SHA256 = {
-    "keys": "237925393e634cf49bcdf044a2a4bb2e1dc6b5cb960a34dce8d0c0da94f7d2c3",
-    "plaintext": "da41a3af4c6523bd119422d568b46114a7f117808423618757db3dc28b2a1a33",
+    "keys": "b96701777b7c030113f9ffe291e51e9264ead60a1314959fded5efcc9b6dff6e",
+    "plaintext": "81c2cd64286ddc8868c230d0760e5d4382287a568e5ca204dea2cd112b5e982f",
 }
 
 

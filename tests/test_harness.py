@@ -172,6 +172,26 @@ def test_disclose_withholds_an_account_that_upto_leaves_out():
     assert run_scenario(text).transcript.endswith("EXPECT REPORT-INCOMPLETE -> OK\n")
 
 
+def test_withhold_stops_at_the_next_option():
+    text = (MINI + "CEREMONY ana bank acct2\nOPEN acct2 300\nAPPEND ana acct acct2\n"
+            "EXPECT ACCEPT\nDISCLOSE ana keys WITHHOLD acct2 UPTO 1\nEXPECT REPORT-INCOMPLETE\n")
+    transcript = run_scenario(text).transcript
+    assert "WITHHOLD acct2 UPTO 1 -> REPORT complete=no entries=1" in transcript
+
+
+@pytest.mark.parametrize("options", ["UPTO 1 UPTO 5", "UPTO 5 UPTO 1", "WINDOW 0 9 WINDOW 0 9",
+                                     "WITHHOLD acct UPTO 0 WITHHOLD acct"])
+def test_an_option_given_twice_is_a_parse_error(options):
+    text = MINI + f"DISCLOSE ana keys {options}\n"
+    with pytest.raises(ParseError) as err:
+        run_scenario(text)
+    keyword = options.split()[0]
+    assert str(err.value) == (f"line {len(text.splitlines())}: {keyword} given twice; "
+                              "usage: DISCLOSE <actor> keys [WINDOW <u64> <u64>] [UPTO <u32>] "
+                              "[WITHHOLD <account>...] | DISCLOSE <actor> plaintext "
+                              "[WINDOW <u64> <u64>] [UPTO <u32>] [WITHHOLD <account>...]")
+
+
 def test_a_usage_error_names_every_form_of_the_command():
     with pytest.raises(ParseError) as err:
         run_scenario(MINI + "LINK acct SIDEWAYS ana\n")

@@ -3,6 +3,7 @@ variants, windows, and every way a bundle can lie."""
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -99,7 +100,7 @@ def test_partial_report_is_a_prefix_of_the_complete_one(chain5_world):
 
 def test_empty_bundle_on_nonempty_chain(chain5_world):
     world = chain5_world
-    bundle = dataclasses.replace(world.build_bundle("cust"), entries=(), head_nonce=None)
+    bundle = dataclasses.replace(world.build_bundle("cust"), entries=())
     with pytest.raises(reader.IncompleteDisclosure) as err:
         assemble(world, bundle)
     assert err.value.report.entries == ()
@@ -266,29 +267,7 @@ def test_wrong_head_nonce_detected_in_plaintext_variant(chain5_world):
     world = chain5_world
     bundle = world.build_bundle("cust", variant="plaintext")
     with pytest.raises(reader.ChainMismatch):
-        assemble(world, dataclasses.replace(bundle, head_nonce=b"not the nonce"))
-
-
-def test_plaintext_claim_beyond_terminal_detected(chain5_world):
-    world = chain5_world
-    bundle = world.build_bundle("cust", variant="plaintext")
-    last = bundle.entries[-1]
-    forged_last = dataclasses.replace(
-        last, next_address=bundle.entries[0].address, next_nonce=b"n")
-    entries = bundle.entries[:-1] + (forged_last,)
-    with pytest.raises(reader.ChainMismatch):
-        assemble(world, dataclasses.replace(bundle, entries=entries))
-
-
-def test_plaintext_next_claim_must_match_walk(chain5_world):
-    world = chain5_world
-    bundle = world.build_bundle("cust", variant="plaintext")
-    first = bundle.entries[0]
-    # claim the wrong successor: the forged claim contradicts entry 1's address
-    forged = dataclasses.replace(first, next_address=bundle.entries[3].address)
-    with pytest.raises(reader.ChainMismatch):
-        assemble(world, dataclasses.replace(
-            bundle, entries=(forged,) + bundle.entries[1:]))
+        assemble(world, _with(bundle, 0, link_nonce=b"not the nonce"))
 
 
 def test_forged_data_plaintext_detected(chain5_world):
@@ -314,22 +293,26 @@ def test_mismatched_data_key_detected(chain5_world):
 
 def test_extra_entry_beyond_terminal_detected(chain5_world):
     world = chain5_world
-    bundle = world.build_bundle("cust", variant="keys")
-    with pytest.raises(reader.ChainMismatch):
-        assemble(world, dataclasses.replace(
-            bundle, entries=bundle.entries + (bundle.entries[0],)))
+    for variant in ("keys", "plaintext"):
+        bundle = world.build_bundle("cust", variant=variant)
+        with pytest.raises(reader.ChainMismatch, match="entry 5 lies beyond the chain terminal"):
+            assemble(world, dataclasses.replace(
+                bundle, entries=bundle.entries + (bundle.entries[0],)))
 
 
-def test_keys_then_plaintext_entry_lacks_nonce(chain5_world):
-    """A KeyDisclosure consumes the link without revealing the next nonce, so
-    a plaintext-style entry cannot follow it — the reader refuses rather
-    than guessing."""
+def test_any_mix_of_variants_reports_as_the_keys_bundle(chain5_world):
+    """Each entry carries everything its own link check needs, so every
+    per-entry choice of variant verifies to the all-keys report, read
+    directly and after a trip through the bundle file format."""
     world = chain5_world
     keys = world.build_bundle("cust", variant="keys")
     plain = world.build_bundle("cust", variant="plaintext")
-    mixed = (keys.entries[0],) + plain.entries[1:]
-    with pytest.raises(reader.ChainMismatch):
-        assemble(world, dataclasses.replace(keys, entries=mixed))
+    expected = assemble(world, keys)
+    for choice in itertools.product((keys, plain), repeat=len(keys.entries)):
+        mixed = dataclasses.replace(
+            keys, entries=tuple(b.entries[i] for i, b in enumerate(choice)))
+        assert assemble(world, mixed) == expected
+        assert assemble(world, reader.bundle_from_json(reader.bundle_to_json(mixed))) == expected
 
 
 # -- the verdict --------------------------------------------------------------------
@@ -596,7 +579,8 @@ TAMPERS = {
     "institution-plaintext": ("plaintext", lambda b: _with(
         b, 0, institution_identity=b.entries[1].institution_identity),
         reader.CommitmentInvalid),
-    "link-nonce": ("plaintext", lambda b: _with(b, 0, next_nonce=b.entries[1].next_nonce),
+    "link-nonce": ("plaintext", lambda b: _with(_with(b, 0, link_nonce=b.entries[1].link_nonce),
+                                                1, link_nonce=b.entries[0].link_nonce),
                    reader.ChainMismatch),
     "data-nonce": ("plaintext", lambda b: _with(b, 0, data_nonce=b.entries[1].data_nonce),
                    reader.ChainMismatch),
@@ -803,13 +787,10 @@ def test_link_to_a_non_account_is_refused(record_world, variant, target):
     if variant == "keys":
         entry = reader.KeyDisclosure(address=address, institution_identity=institution,
                                      pointer_key=pointer.private)
-        head_nonce = None
     else:
         entry = reader.PlaintextDisclosure(address=address, institution_identity=institution,
-                                           pointer_public_key=pointer.public)
-        head_nonce = nonce
-    bundle = reader.DisclosureBundle(identity=world.actor(customer).public, entries=(entry,),
-                                     head_nonce=head_nonce)
+                                           pointer_public_key=pointer.public, link_nonce=nonce)
+    bundle = reader.DisclosureBundle(identity=world.actor(customer).public, entries=(entry,))
     with pytest.raises(reader.ChainMismatch, match="entry 0 does not point at a credit account"):
         assemble(world, bundle)
 

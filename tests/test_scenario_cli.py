@@ -367,6 +367,43 @@ def test_report_on_undecodable_input(capsys, disclosure_files, case):
     assert err.startswith("unusable input: ")
 
 
+def _earlier_plaintext_format(doc):
+    """A plaintext bundle as earlier versions wrote it: each link's nonce
+    in the entry before it, the first in the bundle's ``head_nonce``."""
+    entries = doc["entries"]
+    doc["head_nonce"] = entries[0]["link_nonce"] if entries else None
+    for entry, after in zip(entries, entries[1:] + [None]):
+        entry.pop("link_nonce")
+        entry["next_address"] = after and after["address"]
+        entry["next_nonce"] = after and after["link_nonce"]
+
+
+def test_report_refuses_a_plaintext_bundle_in_the_earlier_format(capsys, tmp_path):
+    ledger, bundle, trust = (tmp_path / n for n in ("ledger.bin", "bundle.json", "trust.json"))
+    code, out, _ = run_cli(capsys, "disclose", LIFECYCLE, "alice", "--variant", "plaintext",
+                           "--ledger-out", ledger, "--bundle-out", bundle, "--trust-out", trust)
+    assert code == 0
+    identity_hex = out.splitlines()[0].split(": ")[1]
+    bundle.write_text(_edit(_earlier_plaintext_format)(bundle.read_text()))
+    code, out, err = run_cli(capsys, "report", identity_hex,
+                             "--ledger", ledger, "--bundle", bundle, "--trust", trust)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("unusable input: ")
+
+
+def test_report_verifies_a_keys_bundle_in_the_earlier_format(capsys, disclosure_files):
+    """Earlier keys bundles differ only by ``"head_nonce": null``, a key the
+    reader does not read."""
+    ledger, bundle, trust, identity_hex = disclosure_files
+    bundle.write_text(_edit(lambda doc: doc.update(head_nonce=None))(bundle.read_text()))
+    code, out, _ = run_cli(capsys, "report", identity_hex,
+                           "--ledger", ledger, "--bundle", bundle, "--trust", trust)
+    assert code == 0
+    assert out.splitlines()[-1] == "VERDICT: verified"
+
+
 STRANGER_HEX = crypto.generate_keypair(b"never registered").public.to_bytes().hex()
 MORTGAGE = ("account=edbd3ca59538 created=16 expires=420 institution=ef784658a145 "
             "trusted={} commitment=ok data=mortgage opened, 30yr fixed\n")
