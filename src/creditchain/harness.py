@@ -181,7 +181,10 @@ class SimWorld:
 
     def open_account(self, handle: AccountHandle, expiration: int,
                      by: Optional[crypto.KeyPair] = None) -> Address:
-        """Deploy the account as its institution.  Raises ConstructorRejected."""
+        """Deploy the account as its institution.  Raises ConstructorRejected,
+        or ValueError if the account is already open."""
+        if handle.address is not None:
+            raise ValueError(f"account {handle.name!r} is already open")
         handle.address = accounts.create_account(
             self.ledger, by or handle.institution_view.institution,
             handle.customer_view.customer.public,

@@ -51,18 +51,18 @@ directly and never consult them.
 Bundles and trust sets travel as JSON files, written on one line with
 sorted keys: the bytes ``json.dumps(doc, sort_keys=True)`` gives.
 ``trust_to_json`` calls the standard library.  Bundles are written and read
-through the bundle field table below, one row per field.  From that table
-one function per format and direction is settled once, at import: a writer
-that fills a %-template with each row's JSON text, without building a dict
-tree or calling the encoder, and a reader that builds the object from the
-dict ``json.loads`` gives, one argument expression per row, so neither runs
-a loop over the rows.  ``bundle_from_json`` and ``trust_from_json`` parse
-with ``json.loads``, so they accept any JSON layout of the same document,
-including the indented files earlier versions wrote, and check its schema
-whatever the layout.  Both decode each public key through one intern table,
-an LRU of ``MEMO_ENTRIES`` entries that lives as long as the process: a key
-met in an earlier bundle or trust file comes back as the same immutable object, and a string that does not decode is never stored.  It
-stays below ``KEY_TABLE_CEILING_BYTES``.  Private keys and addresses are
+by plain functions, one writer and one reader per object: a writer fills a
+%-template whose keys are already in sorted order, without building a dict
+tree or calling the encoder, and a reader builds the object from the dict
+``json.loads`` gives, reading required keys with ``raw[key]`` and optional
+ones with ``raw.get(key)``.  ``bundle_from_json`` and ``trust_from_json``
+parse with ``json.loads``, so they accept any JSON layout of the same
+document, including the indented files earlier versions wrote, and check
+its schema whatever the layout.  Both decode each public key through one
+intern table, an LRU of ``MEMO_ENTRIES`` entries that lives as long as the
+process: a key met in an earlier bundle or trust file comes back as the
+same immutable object, and a string that does not decode is never stored.
+It stays below ``KEY_TABLE_CEILING_BYTES``.  Private keys and addresses are
 decoded afresh each time, so no secret key object outlives its bundle.
 """
 
@@ -539,118 +539,72 @@ def _public_from_hex(text: str) -> crypto.PublicKey:
     return crypto.PublicKey.from_bytes(bytes.fromhex(text))
 
 
-# The bundle file format, one row per field: (JSON key and attribute name,
-# (write, read) for its kind of value, required).  ``write`` gives the
-# value's JSON text and ``read`` takes the value json.loads gives back.  A
-# required key must be present and not null; any other may be absent or
-# null, read as None, and None is written as null.  Each table's rows follow
-# its class's field order, since a read object is built from the values
-# positionally.  Hex needs no JSON escape, so a quoted hex string is the
-# text json writes for it.
-_BYTES = (lambda b: f'"{b.hex()}"', bytes.fromhex)
-_ADDRESS = (lambda a: f'"{a.digest.hex()}"', lambda h: Address(bytes.fromhex(h)))
-_PUBLIC = (lambda k: f'"{k.to_bytes().hex()}"', _public_from_hex)
-_PRIVATE = (lambda k: f'"{k.master.hex()}"', lambda h: crypto.PrivateKey(bytes.fromhex(h)))
-_ENTRY_FORMATS = {
-    "keys": (KeyDisclosure, (
-        ("address", _ADDRESS, True),
-        ("institution_identity", _PUBLIC, True),
-        ("pointer_key", _PRIVATE, True),
-        ("data_key", _PRIVATE, False),
-    )),
-    "plaintext": (PlaintextDisclosure, (
-        ("address", _ADDRESS, True),
-        ("institution_identity", _PUBLIC, True),
-        ("pointer_public_key", _PUBLIC, True),
-        ("link_nonce", _BYTES, True),
-        ("data_plaintext", _BYTES, False),
-        ("data_nonce", _BYTES, False),
-        ("data_public_key", _PUBLIC, False),
-    )),
-}
+# The bundle file format, one writer and one reader per object.  Hex needs no
+# JSON escape, so a quoted hex string is the text json writes for it.  A
+# required key is read with raw[key], so an absent or null one fails to
+# decode; an optional one with raw.get(key), absent and null both read as
+# None.  Any other key is ignored.
 
 
-def _write_entries(entries: Sequence[DisclosureEntry]) -> str:
-    texts = []
-    for entry in entries:
-        texts.append(_WRITE_ENTRY[type(entry)](entry))
-    return "[" + ", ".join(texts) + "]"
+def _write_keys(e: KeyDisclosure) -> str:
+    return ('{"address": "%s", "data_key": %s, "institution_identity": "%s", '
+            '"pointer_key": "%s", "variant": "keys"}' % (
+                e.address.digest.hex(),
+                "null" if e.data_key is None else f'"{e.data_key.master.hex()}"',
+                e.institution_identity.to_bytes().hex(), e.pointer_key.master.hex()))
 
 
-def _read_entries(value: Any) -> tuple[DisclosureEntry, ...]:
-    if not isinstance(value, list):
+def _write_plaintext(e: PlaintextDisclosure) -> str:
+    return ('{"address": "%s", "data_nonce": %s, "data_plaintext": %s, "data_public_key": %s, '
+            '"institution_identity": "%s", "link_nonce": "%s", "pointer_public_key": "%s", '
+            '"variant": "plaintext"}' % (
+                e.address.digest.hex(),
+                "null" if e.data_nonce is None else f'"{e.data_nonce.hex()}"',
+                "null" if e.data_plaintext is None else f'"{e.data_plaintext.hex()}"',
+                "null" if e.data_public_key is None
+                else f'"{e.data_public_key.to_bytes().hex()}"',
+                e.institution_identity.to_bytes().hex(), e.link_nonce.hex(),
+                e.pointer_public_key.to_bytes().hex()))
+
+
+def _read_keys(raw: dict[str, Any]) -> KeyDisclosure:
+    data_key = raw.get("data_key")
+    return KeyDisclosure(
+        Address(bytes.fromhex(raw["address"])), _public_from_hex(raw["institution_identity"]),
+        crypto.PrivateKey(bytes.fromhex(raw["pointer_key"])),
+        None if data_key is None else crypto.PrivateKey(bytes.fromhex(data_key)))
+
+
+def _read_plaintext(raw: dict[str, Any]) -> PlaintextDisclosure:
+    data_plaintext, data_nonce, data_public_key = (
+        raw.get("data_plaintext"), raw.get("data_nonce"), raw.get("data_public_key"))
+    return PlaintextDisclosure(
+        Address(bytes.fromhex(raw["address"])), _public_from_hex(raw["institution_identity"]),
+        _public_from_hex(raw["pointer_public_key"]), bytes.fromhex(raw["link_nonce"]),
+        None if data_plaintext is None else bytes.fromhex(data_plaintext),
+        None if data_nonce is None else bytes.fromhex(data_nonce),
+        None if data_public_key is None else _public_from_hex(data_public_key))
+
+
+def _read_entry(raw: Any) -> DisclosureEntry:
+    if not isinstance(raw, dict):
         raise ValueError("entries must be a list of objects")
-    entries = []
-    for raw in value:
-        if not isinstance(raw, dict):
-            raise ValueError("entries must be a list of objects")
-        read = _READ_ENTRY.get(raw["variant"])
-        if read is None:
-            raise ValueError(f"unknown disclosure variant {raw['variant']!r}")
-        entries.append(read(raw))
-    return tuple(entries)
-
-
-_BUNDLE_FIELDS = (
-    ("identity", _PUBLIC, True),
-    ("entries", (_write_entries, _read_entries), True),
-    ("window", (lambda w: json.dumps(list(w)), _read_window), False),
-)
-
-
-def _settled(expression: str, scope: dict[str, Any]) -> Callable[[Any], Any]:
-    """The function of one argument, ``obj``, that returns ``expression``,
-    with ``scope`` as its globals.  A writer's or reader's rows are settled
-    into one such expression once, at import, so that writing or reading an
-    object runs no loop over its rows and builds no list of their values."""
-    exec(f"def settled(obj):\n    return {expression}\n", scope)
-    return scope["settled"]
-
-
-def _object_writer(fields: tuple, fixed: dict[str, str]) -> Callable[[Any], str]:
-    """A function giving an object's JSON text from its rows, plus the
-    ``fixed`` keys, whose JSON text is the same for every object: the text
-    ``json.dumps(tree, sort_keys=True)`` gives, one line with ", " and ": "
-    separators.  Key order and writers are settled here, once, into a
-    %-template with one slot per row."""
-    rows = sorted((key, write) for key, (write, _), _ in fields)
-    items = [(key, "%s") for key, _ in rows]
-    items += [(key, text.replace("%", "%%")) for key, text in fixed.items()]
-    scope = {"template": "{" + ", ".join(f"{json.dumps(key)}: {text}"
-                                         for key, text in sorted(items)) + "}"}
-    texts = []
-    for i, (key, write) in enumerate(rows):
-        scope[f"write{i}"] = write
-        texts.append(f'"null" if (v{i} := obj.{key}) is None else write{i}(v{i})')
-    return _settled(f"template % ({', '.join(texts)},)", scope)
-
-
-def _object_reader(cls: type, fields: tuple) -> Callable[[dict[str, Any]], Any]:
-    """The mirror of ``_object_writer``: a function building a ``cls`` from
-    the dict json.loads gives for it, each row's value read by the row's
-    ``read`` and passed positionally."""
-    scope: dict[str, Any] = {"cls": cls}
-    args = []
-    for i, (key, (_, read), required) in enumerate(fields):
-        scope[f"read{i}"] = read
-        if required:
-            args.append(f"read{i}(obj[{key!r}])")
-        else:
-            args.append(f"None if (v{i} := obj.get({key!r})) is None else read{i}(v{i})")
-    return _settled(f"cls({', '.join(args)})", scope)
-
-
-_WRITE_ENTRY = {cls: _object_writer(fields, {"variant": json.dumps(variant)})
-                for variant, (cls, fields) in _ENTRY_FORMATS.items()}
-_READ_ENTRY = {variant: _object_reader(cls, fields)
-               for variant, (cls, fields) in _ENTRY_FORMATS.items()}
-_write_bundle = _object_writer(_BUNDLE_FIELDS, {})
-_read_bundle = _object_reader(DisclosureBundle, _BUNDLE_FIELDS)
+    variant = raw["variant"]
+    if variant == "keys":
+        return _read_keys(raw)
+    if variant == "plaintext":
+        return _read_plaintext(raw)
+    raise ValueError(f"unknown disclosure variant {variant!r}")
 
 
 def bundle_to_json(bundle: DisclosureBundle) -> str:
     """The bundle file's text: one line, keys sorted."""
-    return _write_bundle(bundle)
+    entries = [_write_keys(e) if type(e) is KeyDisclosure else _write_plaintext(e)
+               for e in bundle.entries]
+    window = bundle.window
+    return '{"entries": [%s], "identity": "%s", "window": %s}' % (
+        ", ".join(entries), bundle.identity.to_bytes().hex(),
+        "null" if window is None else json.dumps(list(window)))
 
 
 # What decoding an untrusted document can raise: bad JSON, hex or variant
@@ -667,7 +621,13 @@ def bundle_from_json(text: str) -> DisclosureBundle:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("a bundle must be a JSON object")
-        return _read_bundle(doc)
+        identity = _public_from_hex(doc["identity"])
+        raw_entries = doc["entries"]
+        if not isinstance(raw_entries, list):
+            raise ValueError("entries must be a list of objects")
+        window = doc.get("window")
+        return DisclosureBundle(identity, tuple([_read_entry(raw) for raw in raw_entries]),
+                                None if window is None else _read_window(window))
     except _DECODE_ERRORS as exc:
         raise MalformedInput(f"bundle does not decode: {type(exc).__name__} {exc}") from exc
 

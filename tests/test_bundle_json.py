@@ -1,13 +1,16 @@
-"""The bundle file writer and the reader's identity-key intern table.
+"""The bundle file writer and reader, and the reader's identity-key intern
+table.
 
-``bundle_to_json`` writes text straight from the bundle field table; the
-reference here builds the dict tree the writer once built and encodes it
-with the standard library, and both must give the same bytes.  Decoded
-public keys go through one bounded intern table, which stores only keys
-that decode."""
+``bundle_to_json`` fills one hand-written template per object; the
+reference here builds the dict tree and encodes it with the standard
+library, and both must give the same bytes.  ``bundle_from_json`` reads each
+key as README's key table says: a required key must be present and not
+null, and an optional one may be absent.  Decoded public keys go through one
+bounded intern table, which stores only keys that decode."""
 
 import dataclasses
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -80,6 +83,88 @@ def test_writer_gives_json_text_for_any_window():
     for window in [(True, 3), (1.5, 2), (1, 2, 3), [4, 5]]:
         odd = dataclasses.replace(bundle, window=window)
         assert reader.bundle_to_json(odd) == _reference(_tree(bundle) | {"window": list(window)})
+
+
+# -- the reader against README's key table --------------------------------------
+
+_REQUIRED = {
+    "bundle": ("identity", "entries"),
+    "keys": ("variant", "address", "institution_identity", "pointer_key"),
+    "plaintext": ("variant", "address", "institution_identity", "pointer_public_key",
+                  "link_nonce"),
+}
+_OPTIONAL = {
+    "bundle": ("window",),
+    "keys": ("data_key",),
+    "plaintext": ("data_plaintext", "data_nonce", "data_public_key"),
+}
+
+
+def _filled(n):
+    return bytes([n]) * 32
+
+
+def _public_key(n):
+    return crypto.PublicKey(_filled(n), _filled(n + 1))
+
+
+# every optional value set, so that each one can be taken away
+_FULL = reader.DisclosureBundle(_public_key(1), (
+    reader.KeyDisclosure(Address(_filled(3)), _public_key(4), crypto.PrivateKey(_filled(6)),
+                         crypto.PrivateKey(_filled(7))),
+    reader.PlaintextDisclosure(Address(_filled(8)), _public_key(9), _public_key(11),
+                               b"link nonce", b"data", b"data nonce", _public_key(13)),
+), (3, 9))
+
+
+_ENTRY_AT = {"keys": 0, "plaintext": 1}  # where _FULL holds each variant's entry
+
+
+def _object(tree, name):
+    """The bundle's dict, or the dict of its entry of variant ``name``."""
+    return tree if name == "bundle" else tree["entries"][_ENTRY_AT[name]]
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name, keys in _REQUIRED.items()
+                                       for key in keys])
+@pytest.mark.parametrize("absent", [True, False], ids=["absent", "null"])
+def test_a_required_key_absent_or_null_does_not_decode(name, key, absent):
+    tree = _tree(_FULL)
+    if absent:
+        del _object(tree, name)[key]
+    else:
+        _object(tree, name)[key] = None
+    with pytest.raises(reader.MalformedInput):
+        reader.bundle_from_json(json.dumps(tree))
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name, keys in _OPTIONAL.items()
+                                       for key in keys])
+def test_an_optional_key_absent_reads_as_null(name, key):
+    absent, null = _tree(_FULL), _tree(_FULL)
+    del _object(absent, name)[key]
+    _object(null, name)[key] = None
+    read = reader.bundle_from_json(json.dumps(absent))
+    assert read == reader.bundle_from_json(json.dumps(null))
+    assert getattr(read if name == "bundle" else read.entries[_ENTRY_AT[name]], key) is None
+
+
+def _shuffled(value, rng):
+    """``value`` with the keys of every object in a random order."""
+    if isinstance(value, dict):
+        items = list(value.items())
+        rng.shuffle(items)
+        return {key: _shuffled(item, rng) for key, item in items}
+    if isinstance(value, list):
+        return [_shuffled(item, rng) for item in value]
+    return value
+
+
+def test_an_indented_document_with_keys_in_any_order_reads_the_same():
+    rng = random.Random(7)
+    for _ in range(5):
+        text = json.dumps(_shuffled(_tree(_FULL), rng), indent=2)
+        assert reader.bundle_from_json(text) == _FULL
 
 
 # -- the identity-key intern table ----------------------------------------------

@@ -1,7 +1,8 @@
 """Each off-chain format and walk has one implementation: one payload encode
 per account update, one public-record list walker (which the chain-validity
-audit uses), and one bundle field table whose output bytes are pinned.  And
-each contract state is encoded once for as long as it stays unchanged."""
+audit uses), and one bundle writer per object, whose output bytes are
+pinned.  And each contract state is encoded once for as long as it stays
+unchanged."""
 
 import dataclasses
 import hashlib
@@ -105,19 +106,6 @@ def test_bundle_json_bytes_are_pinned(chain5_world, variant):
     text = reader.bundle_to_json(bundle)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BUNDLE_JSON_SHA256[variant]
     assert reader.bundle_from_json(text) == bundle
-
-
-@pytest.mark.parametrize("variant", sorted(reader._ENTRY_FORMATS))
-def test_entry_rows_follow_field_order(variant):
-    """A read entry is built from its row values positionally."""
-    cls, fields = reader._ENTRY_FORMATS[variant]
-    assert [key for key, _, _ in fields] == [f.name for f in dataclasses.fields(cls)]
-
-
-def test_bundle_rows_follow_field_order():
-    """A read bundle is built from its row values positionally too."""
-    assert ([key for key, _, _ in reader._BUNDLE_FIELDS]
-            == [f.name for f in dataclasses.fields(reader.DisclosureBundle)])
 
 
 def _count_state_encodes(monkeypatch):

@@ -102,6 +102,15 @@ def test_duplicate_genkey_rejected():
         run_scenario("GENKEY a\nGENKEY a\n")
 
 
+def test_opening_an_open_account_is_a_parse_error():
+    """A second OPEN would deploy a new contract and rebind the account
+    away from the one its chain links and its commitment binds."""
+    text = MINI + "OPEN acct 900\n"
+    with pytest.raises(ParseError, match="account 'acct' is already open") as err:
+        run_scenario(text)
+    assert err.value.line_no == len(text.splitlines())
+
+
 def test_bad_quoting_reported():
     with pytest.raises(ParseError) as err:
         run_scenario('GENKEY a\nUPDATE x inline "unterminated\n')
