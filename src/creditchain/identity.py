@@ -22,11 +22,11 @@ registered; on-chain, a call naming such a key is rejected `UnknownSubject`.
 
 The registry holds a record for every customer and institution, so its
 ``records`` map is a ``versioned.VersionedMap``: a registration or a record
-change appends one entry to a log that every registry state shares, in O(1),
-instead of copying the map.  Each state stays an immutable snapshot that
-reads as it did when committed, and the log holds one entry per accepted
-write, like the ledger's own log.  A transition applied to a state that is
-no longer the newest copies the map first.
+change writes one entry into the newest state's dict, in O(1), instead of
+copying the map, and the state it was written from keeps only that entry's
+old value.  Each state stays an immutable snapshot that reads as it did when
+committed.  A transition applied to a state that is no longer the newest
+copies the map first.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ class IdentityState:
     @property
     def fingerprint_index(self) -> dict[bytes, tuple[bytes, ...]]:
         """Fingerprint -> keys registered under it, each in registration order."""
-        index: dict[bytes, tuple[bytes, ...]] = {}
+        index: dict[bytes, list[bytes]] = {}
         for key, record in self.records.items():
-            index[record.fingerprint] = index.get(record.fingerprint, ()) + (key,)
-        return index
+            index.setdefault(record.fingerprint, []).append(key)
+        return {fingerprint: tuple(keys) for fingerprint, keys in index.items()}
 
 
 @register_contract

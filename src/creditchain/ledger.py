@@ -272,7 +272,9 @@ class _ContractRecord:
     state: Any
     created: int  # block of the deploying transaction
     # (state, its digest) as ``state_digest`` last computed them: valid only
-    # while ``state`` is still that very object
+    # while ``state`` is still that very object.  Until the next digest it
+    # may keep one superseded state alive, and with it the versioned-map
+    # diffs of every write after it
     digested: Optional[tuple[Any, bytes]] = None
 
 
@@ -495,11 +497,12 @@ class Ledger:
         transactions change the contract afterwards, so never mutate it.  A
         map that grows with the population (the registry's records, a
         factory's minted and added sets) is a ``versioned.VersionedMap``:
-        every snapshot of it shares one log, which holds one entry per
-        accepted write like the ledger's own log, so keeping a snapshot
-        copies nothing.  Writing from a snapshot that is no longer the
+        only the newest snapshot holds the map's dict, and each older one
+        keeps the one entry that the next write changed, so keeping a
+        snapshot copies nothing.  Reading an older snapshot costs one step
+        per later write.  Writing from a snapshot that is no longer the
         newest, as a transition applied to a saved state does, copies its
-        map into a fresh log first."""
+        map first."""
         return self._record(address).state
 
     def history(self, address: Address) -> list[HistoryEntry]:

@@ -26,12 +26,11 @@ ignored, because readers classify every traversed record by whether they
 trust its author.
 
 Both factory sets grow with every record ever minted, so each is a
-``versioned.VersionedMap`` (to None): a mint or a link appends one entry to
-a log that every factory state shares, in O(1), instead of copying the set.
-Each state stays an immutable snapshot, and the log holds one entry per
-accepted write, like the ledger's own log.  The append checks all run
-before the ``added`` set is written, so a refused link writes nothing; a
-write from a state that is no longer the newest copies the set first.
+``versioned.VersionedMap`` (to None): a mint or a link writes one entry into
+the newest state's set, in O(1), instead of copying the set.  Each state
+stays an immutable snapshot.  The append checks all run before the
+``added`` set is written, so a refused link writes nothing; a write from a
+state that is no longer the newest copies the set first.
 
 Off-chain, ``walk_public_records`` follows a list with one ledger read per
 record and yields each record's address, state and creation block;

@@ -1,9 +1,11 @@
+import gc
 import hashlib
+import time
 
 import pytest
 
 from creditchain import crypto, identity, public_records, reader
-from creditchain.identity import IdentityContract
+from creditchain.identity import IdentityContract, IdentityRecord, IdentityState
 from creditchain.ledger import CallContext, Ledger, make_transaction
 
 
@@ -63,6 +65,34 @@ def test_fingerprint_index_keeps_registration_order(world):
     identity.register(led, registry, second, FP_ALICE)
     keys = identity.lookup_by_fingerprint(led.read_state(registry), FP_ALICE)
     assert keys == (first.public, second.public)
+
+
+def test_fingerprint_index_is_linear_in_keys_sharing_a_fingerprint():
+    """Registration is permissionless, so anyone can put many keys under a
+    victim's fingerprint; indexing them must not cost their square."""
+    keys = [i.to_bytes(32, "big") for i in range(40_000)]
+    state = IdentityState(records={key: IdentityRecord(fingerprint=FP_ALICE) for key in keys})
+    started = time.process_time()
+    index = state.fingerprint_index
+    assert time.process_time() - started < 1.0
+    assert index == {FP_ALICE: tuple(keys)}
+
+
+def test_registry_keeps_only_the_records_a_live_state_reads(world):
+    """Certifying replaces a record; once no held state reads the old one,
+    it is gone, so the registry holds one record per identity."""
+    led, registry = world
+    fingerprint = identity.fingerprint_from_text("retention")
+    customers = [pair(f"retained {i}") for i in range(50)]
+    for customer in customers:
+        assert identity.register(led, registry, customer, fingerprint).accepted
+    for certifier in (pair("court"), pair("bank")):
+        for customer in customers:
+            assert identity.certify(led, registry, certifier, customer.public).accepted
+    gc.collect()
+    live = [o for o in gc.get_objects()
+            if type(o) is IdentityRecord and o.fingerprint == fingerprint]
+    assert len(live) == len(customers)
 
 
 def test_fingerprint_from_text_is_sha256():

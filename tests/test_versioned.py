@@ -2,6 +2,9 @@
 writes from the newest version never copy, and the registry and factory
 encode a versioned map exactly as they encode the plain dict."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +93,39 @@ def test_views_read_their_version_after_later_puts():
     assert "b" in values and (KEYS[1], "b") in items and (KEYS[1], "B") not in items
     assert list(later.values()) == ["a", "B", "c"]
     assert list(later.items()) == [(KEYS[0], "a"), (KEYS[1], "B"), (KEYS[2], "c")]
+
+
+def test_a_replaced_value_lives_only_while_a_version_reads_it():
+    class Value:
+        pass
+
+    first = Value()
+    alive = weakref.ref(first)
+    saved = put(VersionedMap(), KEYS[0], first)
+    del first
+    newest = put(put(saved, KEYS[0], "b"), KEYS[1], "c")
+    gc.collect()
+    assert alive() is not None and saved[KEYS[0]] is alive()
+    del saved
+    gc.collect()
+    assert alive() is None
+    assert dict(newest) == {KEYS[0]: "b", KEYS[1]: "c"}
+
+
+def test_a_version_reads_its_dict_after_a_long_chain_of_puts():
+    """A version saved before 100,000 later puts reads as it did, and the
+    chain those puts built is freed without error from either end."""
+    keys = [i.to_bytes(4, "big") for i in range(1000)]
+    saved = VersionedMap((key, "old") for key in keys[:10])
+    newest = saved
+    for i in range(100_000):
+        newest = put(newest, keys[i % 1000], i)
+    model = dict.fromkeys(keys[:10], "old")
+    assert list(saved.items()) == list(model.items()) and len(saved) == 10
+    assert keys[10] not in saved and saved.get(ABSENT, "none") == "none"
+    assert dict(newest) == {key: 99_000 + i for i, key in enumerate(keys)}
+    del newest
+    del saved
 
 
 @pytest.fixture
