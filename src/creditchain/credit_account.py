@@ -31,7 +31,6 @@ from .ledger import (
     Address,
     CallContext,
     CallReceipt,
-    ConstructorRejected,
     ContractRejected,
     Ledger,
     evolve,
@@ -72,11 +71,11 @@ class CreditAccountContract:
             customer, institution, exp_raw = codec.unpack(args, 3)
             expiration = _decode_u64(exp_raw)
         except codec.DecodeError as exc:
-            raise ConstructorRejected("BadArguments") from exc
+            raise ContractRejected("BadArguments") from exc
         if len(customer) != crypto.PUBLIC_KEY_SIZE or len(institution) != crypto.PUBLIC_KEY_SIZE:
-            raise ConstructorRejected("BadArguments")
+            raise ContractRejected("BadArguments")
         if expiration < ctx.height:
-            raise ConstructorRejected("ExpirationInPast")
+            raise ContractRejected("ExpirationInPast")
         return CreditAccountState(customer_key=customer, institution_key=institution,
                                   expiration=expiration)
 

@@ -9,7 +9,7 @@ that knowledge is written: each runs one protocol call and records what the
 parties learn once the ledger accepts it.  Two worlds built from the same
 seed and the same steps are byte-identical, ledger exports included.
 
-Scenario files drive the world through newline-separated commands::
+Scenario files drive the world through commands, one per LF-ended line::
 
     GENKEY alice
     REGISTER alice US:111-22-3333
@@ -458,14 +458,15 @@ class _Runner:
         self.steps = 0
 
     def run(self, text: str) -> ScenarioResult:
-        for line_no, raw in enumerate(text.splitlines(), start=1):
+        for line_no, raw in enumerate(text.split("\n"), start=1):
+            line = raw.strip()  # the transcript echoes what the tokens come from
             try:
-                tokens = shlex.split(raw, comments=True)
+                tokens = shlex.split(line, comments=True)
             except ValueError as exc:
                 raise ParseError(line_no, f"bad quoting: {exc}") from exc
             if not tokens:
                 continue
-            self.dispatch(line_no, raw.strip(), tokens)
+            self.dispatch(line_no, line, tokens)
         self._require_acknowledged(self.last_line + 1)
         return ScenarioResult(world=self.world, transcript="\n".join(self.lines) + "\n",
                               steps=self.steps)

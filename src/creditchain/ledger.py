@@ -13,7 +13,8 @@ kind; a transition computes the target's next state and may read or stage
 other contracts through the call context, but the whole transaction commits
 atomically — a rejection discards every staged change and leaves all state
 exactly as it was, while the transaction itself still lands in the log with
-its rejection reason.
+its rejection reason, a refused deployment as a refused call: only
+``deploy``, having no address to return, raises ``ConstructorRejected``.
 
 Transitions must do a bounded amount of work per call: table lookups and a
 fixed number of cross-contract reads, never iteration over a whole chain or
@@ -31,8 +32,10 @@ verifies under its own public key, so the check could never fail there.
 Every logged transaction therefore carries a valid signature.
 
 Determinism is the load-bearing property.  Contract addresses hash the
-deployer key and the global transaction sequence number, signatures are
-deterministic, and no transition may consult anything outside (state,
+deployer key, the global transaction sequence number and a creation index
+(0 for a deployment's own contract, then 1, 2, ... in the order
+``CallContext.deploy``, which builds every contract, starts), signatures
+are deterministic, and no transition may consult anything outside (state,
 transaction, height).  Re-executing an exported log therefore reproduces
 every contract state byte for byte, which ``replay`` verifies.
 
@@ -130,11 +133,11 @@ class Address:
         return f"Address({self.short()}…)"
 
 
-def derive_address(deployer: bytes, seq: int, index: int = 0) -> Address:
+def derive_address(deployer: bytes, seq: int, index: int) -> Address:
     """Hash of (deployer key, global transaction sequence, creation index).
 
-    ``index`` separates multiple contracts created inside one transaction,
-    e.g. a factory minting on behalf of a caller.
+    ``index`` separates the contracts one transaction creates: 0 for a
+    deployment's own, then 1, 2, ... in the order ``CallContext.deploy`` starts.
     """
     return Address(crypto.digest(codec.pack(b"address", deployer, codec.u64(seq), codec.u16(index))))
 
@@ -299,7 +302,7 @@ class CallContext:
         self.self_address = self_address
         self.height: int = ledger.height
         self.staged: dict[Address, Any] = {}
-        self.created: dict[Address, tuple[Any, Any]] = {}  # addr -> (cls, state)
+        self.created: dict[Address, _ContractRecord] = {}
         self.result: Optional[bytes] = None
 
     def resolve(self, pointer: bytes, cls: Any) -> Any:
@@ -309,32 +312,36 @@ class CallContext:
         if len(pointer) != crypto.DIGEST_SIZE:
             return None
         address = Address(pointer)
-        found = self.created.get(address)
-        if found is not None:
-            return found[1] if found[0] is cls else None
-        record = self._ledger._contracts.get(address)
+        record = self.created.get(address) or self._ledger._contracts.get(address)
         if record is None or record.cls is not cls:
             return None
         return self.staged.get(address, record.state)
 
     def stage(self, address: Address, new_state: Any) -> None:
         """Queue a state change for another contract touched by this call."""
-        if address in self.created:
-            cls, _ = self.created[address]
-            self.created[address] = (cls, new_state)
-        else:
-            if address not in self._ledger._contracts:
-                raise ContractRejected("UnknownAddress")
+        record = self.created.get(address)
+        if record is not None:
+            record.state = new_state
+        elif address in self._ledger._contracts:
             self.staged[address] = new_state
+        else:
+            raise ContractRejected("UnknownAddress")
 
     def deploy(self, kind: str, args: bytes) -> Address:
-        """Create a child contract within the current transaction."""
+        """Build a ``kind`` contract in this transaction, as every contract is
+        built; its index (``derive_address``) is taken before its constructor runs."""
         cls = CONTRACT_KINDS.get(kind)
         if cls is None:
             raise ContractRejected(f"UnknownKind({kind})")
-        address = derive_address(self._tx.caller, self._seq, 1 + len(self.created))
-        state = cls.construct(self, args)
-        self.created[address] = (cls, state)
+        slot = len(self.created)
+        address = derive_address(self.caller, self._seq, slot if self._tx.is_deploy() else slot + 1)
+        record = self.created[address] = _ContractRecord(cls, None, self.height)
+        try:
+            record.state = cls.construct(self, args)
+        except ContractRejected:  # leave no contract behind, nor any it deployed
+            for late in list(self.created)[slot:]:
+                del self.created[late]
+            raise
         return address
 
     def set_result(self, value: bytes) -> None:
@@ -380,8 +387,11 @@ class Ledger:
     # -- submission ---------------------------------------------------------
 
     def deploy(self, caller: crypto.KeyPair, kind: str, init_args: bytes) -> Address:
-        """Sign a deployment with ``caller`` and submit it, as ``call`` does."""
+        """Sign a deployment with ``caller``, submit it as ``call`` does, and return
+        its address; a refusal, logged as any other, raises ConstructorRejected."""
         receipt = self._submit_own(make_transaction(caller, None, kind, init_args))
+        if not receipt.accepted:
+            raise ConstructorRejected(receipt.reason)
         return receipt.created[0]
 
     def call(self, caller: crypto.KeyPair, target: Address, function: str, args: bytes) -> CallReceipt:
@@ -412,9 +422,9 @@ class Ledger:
         nothing else vouches for it; only the object ``call``/``deploy`` are
         submitting right now skips that check.  Raises BadSignature /
         UnknownAddress / ChainFull without touching the chain (the last
-        height has no block left to seal); contract-level rejections
-        are logged and reported in the receipt (or raised as
-        ConstructorRejected for deployments, after logging).
+        height has no block left to seal).  A refused call or deployment (its
+        constructor refused or its kind is unknown) is logged and returned as
+        a receipt with ``accepted=False`` and its reason.
         """
         if tx is not self._own:
             self._check_signature(tx)
@@ -444,27 +454,18 @@ class Ledger:
         block = self._height
         try:
             if tx.is_deploy():
-                cls = CONTRACT_KINDS.get(tx.function)
-                if cls is None:
-                    raise ConstructorRejected(f"UnknownKind({tx.function})")
-                # the constructor runs first and may deploy children into
-                # ``ctx.created``; the deployed contract goes ahead of them
-                ctx.created = {derive_address(tx.caller, seq, 0): (cls, cls.construct(ctx, tx.args)),
-                               **ctx.created}
+                ctx.deploy(tx.function, tx.args)
                 new_target_state = None
             else:
                 new_target_state = record.cls.apply(record.state, ctx, tx.function, tx.args)
         except ContractRejected as exc:
             self._log.append(LogEntry(block, tx, False, exc.reason))
             self._height += 1  # one transaction per block: seal immediately
-            if tx.is_deploy():
-                raise
             return CallReceipt(False, exc.reason, block, seq)
 
         self._log.append(LogEntry(block, tx, True, None))
         self._height += 1
-        for address, (contract_cls, state) in ctx.created.items():
-            self._contracts[address] = _ContractRecord(contract_cls, state, block)
+        self._contracts.update(ctx.created)
         committed = created = tuple(ctx.created)
         if new_target_state is not None:
             record.state = new_target_state
@@ -620,10 +621,7 @@ class Ledger:
                 raise ReplayMismatch(f"transaction {i} block number out of order")
             ledger.advance_block(block - ledger.height)
             try:
-                receipt = ledger.submit(tx)
-                accepted = receipt.accepted
-            except ConstructorRejected:
-                accepted = False
+                accepted = ledger.submit(tx).accepted
             except LedgerError as exc:
                 raise ReplayMismatch(f"transaction {i} failed to re-execute: {exc}") from exc
             if accepted == rejected:

@@ -50,7 +50,6 @@ from .ledger import (
     Address,
     CallContext,
     CallReceipt,
-    ConstructorRejected,
     ContractRejected,
     Ledger,
     evolve,
@@ -133,9 +132,9 @@ class PublicRecordContract:
         try:
             author, factory = codec.unpack(args, 2)
         except codec.DecodeError as exc:
-            raise ConstructorRejected("BadArguments") from exc
+            raise ContractRejected("BadArguments") from exc
         if len(author) != crypto.PUBLIC_KEY_SIZE or len(factory) != crypto.DIGEST_SIZE:
-            raise ConstructorRejected("BadArguments")
+            raise ContractRejected("BadArguments")
         return PublicRecordState(author_key=author, parent_factory=factory)
 
     @staticmethod

@@ -117,6 +117,23 @@ def test_bad_quoting_reported():
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029"])
+def test_a_quoted_line_separator_runs_and_is_disclosed_escaped(separator):
+    """Only LF ends a scenario line; the report escapes what the data holds."""
+    text = MINI + (f'UPDATE acct inline "paid{separator}late"\n'
+                   "DISCLOSE ana keys\nEXPECT REPORT-COMPLETE\n")
+    transcript = run_scenario(text).transcript
+    escaped = separator.encode("unicode_escape").decode("ascii")
+    assert f" data=paid{escaped}late\n[ 17] EXPECT REPORT-COMPLETE -> OK\n" in transcript
+
+
+@pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028"])
+def test_a_line_ends_at_lf_only(separator):
+    with pytest.raises(ParseError, match="^line 3: actor 'a' already exists$"):
+        run_scenario(f"GENKEY a{separator}\nGENKEY b\nGENKEY a\n")
+
+
 MISSING_ARGUMENTS = [
     "DISCLOSE ana",
     "DISCLOSE ana keys WINDOW",

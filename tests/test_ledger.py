@@ -45,6 +45,9 @@ class ProbeContract:
             raise ConstructorRejected("ProbeConstructorNo")
         if args == b"spawn":
             ctx.deploy(ProbeContract.KIND, b"child")
+        if args == b"spawn-then-fail":
+            ctx.deploy(ProbeContract.KIND, b"child")
+            raise ContractRejected("ProbeConstructorNo")
         return ProbeState(value=args)
 
     @staticmethod
@@ -66,6 +69,19 @@ class ProbeContract:
         if function == "poke_peek":  # a state staged earlier in this transaction
             ProbeContract.apply(state, ctx, "poke_peer", args)
             return _peek(ctx, args)
+        if function == "spawn_spawner":  # a child whose constructor deploys a grandchild
+            ctx.set_result(ctx.deploy(ProbeContract.KIND, b"spawn").digest)
+            return None
+        if function == "spawn_kind":  # a child of the kind ``args`` names
+            ctx.deploy(args.decode("utf-8", "replace"), b"init")
+            return None
+        if function == "spawn_after_refusal":  # a child after a refused one
+            try:
+                ctx.deploy(ProbeContract.KIND, b"spawn-then-fail")
+            except ContractRejected:
+                pass
+            ctx.set_result(ctx.deploy(ProbeContract.KIND, b"child").digest)
+            return None
         if function == "spawn":
             child = ctx.deploy(ProbeContract.KIND, b"child")
             ctx.set_result(child.digest)
@@ -426,6 +442,68 @@ def test_deploy_returns_the_contract_it_deployed_ahead_of_its_children(led, alic
     assert led.read_state(child) == ProbeState(b"child")
     assert [h.state for h in led.history(parent)] == [ProbeState(b"spawn")]
     assert Ledger.replay(led.export()).state_digests() == led.state_digests()
+
+
+def test_a_child_deployed_by_a_child_gets_the_next_index(led, alice):
+    a = deploy_probe(led, alice)
+    receipt = led.call(alice, a, "spawn_spawner", b"")
+    key = alice.public.to_bytes()
+    child, grandchild = derive_address(key, receipt.seq, 1), derive_address(key, receipt.seq, 2)
+    assert receipt.accepted
+    assert receipt.created == receipt.committed == (child, grandchild)
+    assert Address(receipt.result) == child
+    assert led.read_state(child) == ProbeState(b"spawn")
+    assert led.read_state(grandchild) == ProbeState(b"child")
+    data = led.export()
+    assert Ledger.replay(data).export() == data
+
+
+def test_a_refused_constructor_leaves_no_contract_even_when_caught(led, alice):
+    """The transition goes on after its child's constructor, which had
+    deployed a grandchild, refused: neither lands, and the next child
+    takes the first free index."""
+    a = deploy_probe(led, alice)
+    receipt = led.call(alice, a, "spawn_after_refusal", b"")
+    child = derive_address(alice.public.to_bytes(), receipt.seq, 1)
+    assert receipt.accepted
+    assert receipt.created == receipt.committed == (child,) == (Address(receipt.result),)
+    assert led.read_state(child) == ProbeState(b"child")
+    assert len(led.addresses()) == 2
+    data = led.export()
+    assert Ledger.replay(data).export() == data
+
+
+def test_submit_returns_a_refused_deployment_as_a_receipt(led, alice):
+    deploy_probe(led, alice)
+    addresses_before = set(led.addresses())
+    receipt = led.submit(make_transaction(alice, None, ProbeContract.KIND, b"fail"))
+    assert (receipt.accepted, receipt.reason, receipt.block, receipt.seq) == \
+        (False, "ProbeConstructorNo", 1, 1)
+    assert receipt.created == receipt.committed == ()
+    logged = led.log[-1]
+    assert (logged.block, logged.accepted, logged.reason) == (1, False, "ProbeConstructorNo")
+    assert led.height == 2  # the refusal sealed one block
+    assert set(led.addresses()) == addresses_before
+
+
+def test_a_deployment_of_an_unknown_kind_is_refused(led, alice):
+    receipt = led.submit(make_transaction(alice, None, "no-such-kind", b""))
+    assert (receipt.accepted, receipt.reason) == (False, "UnknownKind(no-such-kind)")
+    with pytest.raises(ConstructorRejected) as err:
+        led.deploy(alice, "no-such-kind", b"")
+    assert err.value.reason == "UnknownKind(no-such-kind)"
+    assert [(e.accepted, e.reason) for e in led.log] == [(False, "UnknownKind(no-such-kind)")] * 2
+    assert led.addresses() == [] and led.height == 2
+
+
+def test_a_transition_deploying_an_unknown_kind_is_refused(led, alice):
+    a = deploy_probe(led, alice)
+    receipt = led.call(alice, a, "spawn_kind", b"no-such-kind")
+    assert (receipt.accepted, receipt.reason) == (False, "UnknownKind(no-such-kind)")
+    assert led.log[-1].reason == "UnknownKind(no-such-kind)"
+    assert led.addresses() == [a]
+    data = led.export()
+    assert Ledger.replay(data).export() == data
 
 
 def test_sub_deploy_discarded_on_rejection(led, alice):

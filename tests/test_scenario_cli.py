@@ -54,6 +54,14 @@ def test_run_scenario_quiet_still_audits(capsys):
     assert "audits passed" in out
 
 
+def test_a_crlf_scenario_prints_the_lf_transcript(capsys, tmp_path):
+    crlf = tmp_path / "lifecycle.scn"
+    crlf.write_bytes(LIFECYCLE.read_bytes().replace(b"\n", b"\r\n"))
+    lf = run_cli(capsys, "run", LIFECYCLE)
+    assert lf[0] == 0
+    assert run_cli(capsys, "run", crlf) == lf
+
+
 def test_run_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", tmp_path / "absent.scn")
     assert code == 1
