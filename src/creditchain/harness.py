@@ -448,6 +448,13 @@ def _fits(words: list[str], tokens: list[str]) -> bool:
         word.startswith("<") or word == token for word, token in zip(words, tokens))
 
 
+# Each character at which ``str.splitlines`` ends a line, as its Python
+# escape: the transcript echoes a line with these escaped, as a report shows
+# data, so it stays one line; tabs and all else are echoed as written.
+_ESCAPED_BREAKS = {ord(c): c.encode("unicode_escape").decode("ascii")
+                   for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 class _Runner:
     def __init__(self, world: SimWorld) -> None:
         self.world = world
@@ -466,7 +473,7 @@ class _Runner:
                 raise ParseError(line_no, f"bad quoting: {exc}") from exc
             if not tokens:
                 continue
-            self.dispatch(line_no, line, tokens)
+            self.dispatch(line_no, line.translate(_ESCAPED_BREAKS), tokens)
         self._require_acknowledged(self.last_line + 1)
         return ScenarioResult(world=self.world, transcript="\n".join(self.lines) + "\n",
                               steps=self.steps)

@@ -9,12 +9,12 @@ history is rebuilt by re-executing the log.
 
 A transaction either deploys a new contract or calls a function on an
 existing one.  Contract logic lives in transition functions registered per
-kind; a transition computes the target's next state and may read or stage
-other contracts through the call context, but the whole transaction commits
-atomically — a rejection discards every staged change and leaves all state
-exactly as it was, while the transaction itself still lands in the log with
-its rejection reason, a refused deployment as a refused call: only
-``deploy``, having no address to return, raises ``ConstructorRejected``.
+kind; a transition computes the target's next state and may read, stage or
+deploy other contracts through the call context.  The transaction commits
+atomically: a refusal, of a deployment too, leaves all state as it was and
+lands in the log with its reason (only ``deploy``, having no address to
+return, raises ``ConstructorRejected``).  A refused constructor that its
+deployer catches takes back its contract, those it deployed, all it staged.
 
 Transitions must do a bounded amount of work per call: table lookups and a
 fixed number of cross-contract reads, never iteration over a whole chain or
@@ -272,7 +272,7 @@ def register_contract(cls: Any) -> Any:
 @dataclass(slots=True)
 class _ContractRecord:
     cls: Any  # the contract kind's class; ``cls.KIND`` names it
-    state: Any
+    state: Any  # None until the transaction that creates it commits
     created: int  # block of the deploying transaction
     # (state, its digest) as ``state_digest`` last computed them: valid only
     # while ``state`` is still that very object.  Until the next digest it
@@ -285,10 +285,10 @@ class CallContext:
     """Restricted view of the ledger handed to a transition function.
 
     Exposes the caller key, the executing contract's address, the current
-    block height, ``resolve`` to read another contract, and staged
-    cross-contract access.  All reads observe contracts created and changes
-    staged earlier in the same transaction; nothing becomes visible outside
-    until the transaction commits.
+    block height, ``resolve``, ``stage`` and ``deploy``.  ``staged`` maps
+    every contract but the target that the transaction writes, each new
+    one's first state too.  Reads see what it created and staged; nothing
+    is visible outside until it commits.
     """
 
     __slots__ = ("_ledger", "_tx", "_seq", "caller", "self_address", "height",
@@ -319,13 +319,9 @@ class CallContext:
 
     def stage(self, address: Address, new_state: Any) -> None:
         """Queue a state change for another contract touched by this call."""
-        record = self.created.get(address)
-        if record is not None:
-            record.state = new_state
-        elif address in self._ledger._contracts:
-            self.staged[address] = new_state
-        else:
+        if address not in self.created and address not in self._ledger._contracts:
             raise ContractRejected("UnknownAddress")
+        self.staged[address] = new_state
 
     def deploy(self, kind: str, args: bytes) -> Address:
         """Build a ``kind`` contract in this transaction, as every contract is
@@ -335,10 +331,12 @@ class CallContext:
             raise ContractRejected(f"UnknownKind({kind})")
         slot = len(self.created)
         address = derive_address(self.caller, self._seq, slot if self._tx.is_deploy() else slot + 1)
-        record = self.created[address] = _ContractRecord(cls, None, self.height)
+        self.created[address] = _ContractRecord(cls, None, self.height)
+        staged = dict(self.staged)
         try:
-            record.state = cls.construct(self, args)
-        except ContractRejected:  # leave no contract behind, nor any it deployed
+            self.staged[address] = cls.construct(self, args)
+        except ContractRejected:  # take back the contract, those it deployed, all it staged
+            self.staged = staged
             for late in list(self.created)[slot:]:
                 del self.created[late]
             raise
@@ -447,9 +445,9 @@ class Ledger:
 
     def _execute(self, tx: Transaction, seq: int, record: Optional[_ContractRecord]) -> CallReceipt:
         """Apply an admitted transaction in the open block, log it, seal the
-        block, and commit its changes if the transition accepted it.
-        ``record`` is the target's, or None for a deployment.  This is the
-        one place that writes the log or a contract's state."""
+        block, and if accepted commit what it created, its target, then what
+        it staged.  ``record`` is the target's, or None for a deployment.
+        This is the one place that writes the log or a contract's state."""
         ctx = CallContext(self, tx, seq, tx.target)
         block = self._height
         try:
@@ -473,7 +471,7 @@ class Ledger:
         if ctx.staged:
             for address, state in ctx.staged.items():
                 self._contracts[address].state = state
-            committed += tuple(ctx.staged)
+            committed += tuple(a for a in ctx.staged if a not in ctx.created)
         return CallReceipt(True, None, block, seq, ctx.result, created, committed)
 
     # -- reading ------------------------------------------------------------

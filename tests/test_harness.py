@@ -128,6 +128,20 @@ def test_a_quoted_line_separator_runs_and_is_disclosed_escaped(separator):
     assert f" data=paid{escaped}late\n[ 17] EXPECT REPORT-COMPLETE -> OK\n" in transcript
 
 
+# every character but LF at which ``str.splitlines`` ends a line
+LINE_BREAKS = [c for c in map(chr, range(0x110000)) if c != "\n" and len(f"a{c}b".splitlines()) > 1]
+
+
+@pytest.mark.parametrize("separator", LINE_BREAKS)
+def test_the_transcript_echoes_a_quoted_line_break_escaped(separator):
+    """The echoed command stays one line; a tab is echoed as written."""
+    text = MINI + f'UPDATE acct inline "paid{separator}late\tfee"\n'
+    lines = run_scenario(text).transcript.splitlines()
+    escaped = separator.encode("unicode_escape").decode("ascii")
+    assert lines[-1] == f'[ 15] UPDATE acct inline "paid{escaped}late\tfee" -> ACCEPT block=9'
+    assert all(line.startswith(("[", "      |")) for line in lines)
+
+
 @pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028"])
 def test_a_line_ends_at_lf_only(separator):
     with pytest.raises(ParseError, match="^line 3: actor 'a' already exists$"):

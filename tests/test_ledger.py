@@ -3,6 +3,7 @@ of submission, staging, and replay are checked independently of the
 domain contracts layered on top."""
 
 import functools
+import json
 import time
 import tracemalloc
 from dataclasses import dataclass, replace
@@ -48,6 +49,11 @@ class ProbeContract:
         if args == b"spawn-then-fail":
             ctx.deploy(ProbeContract.KIND, b"child")
             raise ContractRejected("ProbeConstructorNo")
+        if args.startswith(b"clobber"):  # stage the probe at args[7:], then refuse
+            ctx.stage(Address(args[7:]), ProbeState(b"clobbered"))
+            raise ContractRejected("ProbeConstructorNo")
+        if args.startswith(b"script"):
+            _run_script(ctx, json.loads(args[6:]))
         return ProbeState(value=args)
 
     @staticmethod
@@ -82,6 +88,17 @@ class ProbeContract:
                 pass
             ctx.set_result(ctx.deploy(ProbeContract.KIND, b"child").digest)
             return None
+        if function == "spawn_caught":  # a child built from ``args``, its refusal caught
+            try:
+                ctx.deploy(ProbeContract.KIND, args)
+            except ContractRejected:
+                pass
+            return None
+        if function == "spawn_then_clobber":  # a child, then a refused one that staged it
+            child = ctx.deploy(ProbeContract.KIND, b"child")
+            ProbeContract.apply(state, ctx, "spawn_caught", b"clobber" + child.digest)
+            ctx.set_result(child.digest)
+            return None
         if function == "spawn":
             child = ctx.deploy(ProbeContract.KIND, b"child")
             ctx.set_result(child.digest)
@@ -100,6 +117,29 @@ def _peek(ctx, pointer):
     to ``None`` when it resolves to nothing; the caller's state is unchanged."""
     found = ctx.resolve(pointer, ProbeContract)
     ctx.set_result(b"None" if found is None else found.value)
+
+
+def _run_script(ctx, script):
+    """Run ``[steps, refuse]``: each step stages a peer (``["stage", hex,
+    marker]``) or deploys a child running a sub-script (``["deploy", caught,
+    script]``), then the script refuses if ``refuse`` says so."""
+    steps, refuse = script
+    for step in steps:
+        if step[0] == "stage":
+            ctx.stage(Address(bytes.fromhex(step[1])), ProbeState(step[2].encode()))
+            continue
+        _, caught, sub = step
+        try:
+            ctx.deploy(ProbeContract.KIND, _script_args(sub))
+        except ContractRejected:
+            if not caught:
+                raise
+    if refuse:
+        raise ContractRejected("ProbeScriptNo")
+
+
+def _script_args(script):
+    return b"script" + json.dumps(script).encode()
 
 
 @pytest.fixture
@@ -469,6 +509,98 @@ def test_a_refused_constructor_leaves_no_contract_even_when_caught(led, alice):
     assert receipt.created == receipt.committed == (child,) == (Address(receipt.result),)
     assert led.read_state(child) == ProbeState(b"child")
     assert len(led.addresses()) == 2
+    data = led.export()
+    assert Ledger.replay(data).export() == data
+
+
+def test_a_caught_constructor_refusal_takes_back_what_it_staged(led, alice):
+    """The refused constructor had staged a peer that already exists; the
+    transition that caught the refusal commits, the peer keeps its state."""
+    a = deploy_probe(led, alice)
+    peer = deploy_probe(led, alice, b"peer")
+    receipt = led.call(alice, a, "spawn_caught", b"clobber" + peer.digest)
+    assert receipt.accepted
+    assert led.read_state(peer) == ProbeState(b"peer")
+    assert receipt.created == receipt.committed == ()
+    assert len(led.history(peer)) == 1
+    assert Ledger.replay(led.export()).export() == led.export()
+
+
+def test_a_caught_constructor_refusal_takes_back_what_it_staged_in_a_sibling(led, alice):
+    """A refused constructor staged a child deployed earlier in the same
+    transaction: the child commits with the state its own constructor gave."""
+    a = deploy_probe(led, alice)
+    receipt = led.call(alice, a, "spawn_then_clobber", b"")
+    child = Address(receipt.result)
+    assert receipt.accepted
+    assert led.read_state(child) == ProbeState(b"child")
+    assert receipt.created == receipt.committed == (child,)
+    assert len(led.history(child)) == 1
+    assert Ledger.replay(led.export()).export() == led.export()
+
+
+def _scripts(depth):
+    """``[steps, refuse]`` with one to three steps, each staging peer 0 or 1
+    with a marker or, above depth 1, deploying a child that runs a
+    sub-script."""
+    step = st.tuples(st.just("stage"), st.integers(0, 1), st.sampled_from(["m1", "m2"]))
+    if depth > 1:
+        step |= st.tuples(st.just("deploy"), st.booleans(), _scripts(depth - 1))
+    return st.tuples(st.lists(step, min_size=1, max_size=3), st.booleans())
+
+
+def _with_peers(script, peers):
+    """``script`` as the constructor reads it: lists, and peers as hex."""
+    steps, refuse = script
+    return [[["stage", peers[s[1]].hex, s[2]] if s[0] == "stage"
+             else ["deploy", s[1], _with_peers(s[2], peers)] for s in steps], refuse]
+
+
+def _model(script, key, seq, created, writes):
+    """Run ``script`` as a nested transaction would: a refused child takes
+    back everything its subtree created and wrote, and a caught refusal
+    lets its parent go on.  ``created`` and ``writes`` gather what commits;
+    returns whether ``script`` finished without refusing."""
+    steps, refuse = script
+    for step in steps:
+        if step[0] == "stage":
+            writes[Address(bytes.fromhex(step[1]))] = ProbeState(step[2].encode())
+            continue
+        _, caught, sub = step
+        mark, saved = len(created), dict(writes)
+        created.append(derive_address(key, seq, len(created)))
+        if _model(sub, key, seq, created, writes):
+            writes[created[mark]] = ProbeState(_script_args(sub))
+            continue
+        del created[mark:]
+        writes.clear()
+        writes.update(saved)
+        if not caught:
+            return False
+    return not refuse
+
+
+@given(script=_scripts(3))
+@settings(max_examples=60, deadline=None)
+def test_a_refused_constructor_commits_nothing_of_its_subtree(script):
+    led = Ledger()
+    alice = crypto.generate_keypair(b"ledger-alice")
+    peers = [deploy_probe(led, alice, b"peer0"), deploy_probe(led, alice, b"peer1")]
+    before = {address: led.read_state(address) for address in led.addresses()}
+    script = _with_peers(script, peers)
+    key, seq = alice.public.to_bytes(), len(led.log)
+    created, writes = [], {}
+    accepted = _model([[["deploy", False, script]], False], key, seq, created, writes)
+
+    receipt = led.submit(make_transaction(alice, None, ProbeContract.KIND, _script_args(script)))
+    assert receipt.accepted == accepted
+    assert receipt.created == tuple(created)
+    assert receipt.committed[:len(created)] == receipt.created
+    assert sorted(receipt.committed, key=Address.hex.fget) == \
+        sorted({*created, *writes}, key=Address.hex.fget)
+    assert set(led.addresses()) == {*before, *created}
+    for address in led.addresses():
+        assert led.read_state(address) == writes.get(address, before.get(address))
     data = led.export()
     assert Ledger.replay(data).export() == data
 
