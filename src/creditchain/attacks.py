@@ -28,7 +28,6 @@ from .ledger import (
     Address,
     BadSignature,
     CallReceipt,
-    ContractRejected,
     Ledger,
     Transaction,
     signing_payload,
@@ -65,14 +64,12 @@ class _Tally:
         self.notes: list[str] = []
 
     def expect_reject(self, label: str, reason: str, action) -> None:
-        """Rejected calls come back as receipts; rejected deploys, bad
-        signatures and decryptions under the wrong key raise.  Either way
-        the reason must match exactly."""
+        """Rejected calls come back as receipts; bad signatures and
+        decryptions under the wrong key raise.  Either way the reason must
+        match exactly."""
         self.attempts += 1
         try:
             result = action()
-        except ContractRejected as exc:
-            got, outcome = exc.reason, f"rejected with {exc.reason}"
         except BadSignature:
             got = outcome = "BadSignature"
         except crypto.WrongKey:

@@ -186,12 +186,11 @@ class CallReceipt:
     reason: Optional[str]
     block: int
     seq: int
-    result: Optional[bytes] = None
-    # every address the transaction created; a deployment lists the
-    # contract it deployed first, then any its constructor deployed
+    # every address the transaction created, in the order their deploys
+    # started: a deployment's own contract first
     created: tuple[Address, ...] = ()
     # every address the transaction committed: those it created, then its
-    # target if the transition returned a state, then those it staged
+    # target if the transition returned a state, then the others it staged
     committed: tuple[Address, ...] = ()
 
 
@@ -285,14 +284,16 @@ class CallContext:
     """Restricted view of the ledger handed to a transition function.
 
     Exposes the caller key, the executing contract's address, the current
-    block height, ``resolve``, ``stage`` and ``deploy``.  ``staged`` maps
-    every contract but the target that the transaction writes, each new
-    one's first state too.  Reads see what it created and staged; nothing
-    is visible outside until it commits.
+    block height, ``resolve``, ``stage`` and ``deploy``.  A transition
+    writes its target by its return value, other contracts by ``stage``
+    and new ones by ``deploy``.  ``staged`` maps every contract but the
+    target that the transaction writes, each new one's first state too.
+    Reads see what it created and staged; nothing is visible outside
+    until it commits.
     """
 
     __slots__ = ("_ledger", "_tx", "_seq", "caller", "self_address", "height",
-                 "staged", "created", "result")
+                 "staged", "created")
 
     def __init__(self, ledger: "Ledger", tx: Transaction, seq: int, self_address: Optional[Address]) -> None:
         self._ledger = ledger
@@ -303,7 +304,6 @@ class CallContext:
         self.height: int = ledger.height
         self.staged: dict[Address, Any] = {}
         self.created: dict[Address, _ContractRecord] = {}
-        self.result: Optional[bytes] = None
 
     def resolve(self, pointer: bytes, cls: Any) -> Any:
         """The state of the ``cls`` contract at the raw ``pointer``, as this
@@ -318,7 +318,11 @@ class CallContext:
         return self.staged.get(address, record.state)
 
     def stage(self, address: Address, new_state: Any) -> None:
-        """Queue a state change for another contract touched by this call."""
+        """Queue a state change for a contract other than the call's target,
+        which only the transition's return value writes; staging the target
+        is refused with ``StagedTarget``, also from a constructor the call runs."""
+        if address == self.self_address:
+            raise ContractRejected("StagedTarget")
         if address not in self.created and address not in self._ledger._contracts:
             raise ContractRejected("UnknownAddress")
         self.staged[address] = new_state
@@ -331,19 +335,14 @@ class CallContext:
             raise ContractRejected(f"UnknownKind({kind})")
         slot = len(self.created)
         address = derive_address(self.caller, self._seq, slot if self._tx.is_deploy() else slot + 1)
+        saved = dict(self.created), dict(self.staged)
         self.created[address] = _ContractRecord(cls, None, self.height)
-        staged = dict(self.staged)
         try:
             self.staged[address] = cls.construct(self, args)
-        except ContractRejected:  # take back the contract, those it deployed, all it staged
-            self.staged = staged
-            for late in list(self.created)[slot:]:
-                del self.created[late]
+        except ContractRejected:  # take back everything the refused constructor did
+            self.created, self.staged = saved
             raise
         return address
-
-    def set_result(self, value: bytes) -> None:
-        self.result = value
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +471,7 @@ class Ledger:
             for address, state in ctx.staged.items():
                 self._contracts[address].state = state
             committed += tuple(a for a in ctx.staged if a not in ctx.created)
-        return CallReceipt(True, None, block, seq, ctx.result, created, committed)
+        return CallReceipt(True, None, block, seq, created, committed)
 
     # -- reading ------------------------------------------------------------
 

@@ -109,7 +109,6 @@ class RecordFactoryContract:
         if function == "mint":
             record = ctx.deploy(PublicRecordContract.KIND,
                                 codec.pack(ctx.caller, ctx.self_address.digest))
-            ctx.set_result(record.digest)
             return evolve(state, minted=put(state.minted, record.digest, None))
         raise ContractRejected("UnknownFunction")
 
@@ -222,9 +221,7 @@ def deploy_factory(led: Ledger, deployer: crypto.KeyPair) -> Address:
 
 
 def mint_record(led: Ledger, factory: Address, author: crypto.KeyPair) -> Address:
-    receipt = led.call(author, factory, "mint", b"")
-    assert receipt.result is not None
-    return Address(receipt.result)
+    return led.call(author, factory, "mint", b"").created[0]
 
 
 def fill_record(led: Ledger, author: crypto.KeyPair, record: Address, data: bytes,

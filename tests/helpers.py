@@ -187,8 +187,8 @@ class ProtocolFuzzer:
     def _op_mint(self) -> CallReceipt:
         author = self._some_actor()
         receipt = self.led.call(author, self.factory, "mint", b"")
-        if receipt.accepted and receipt.result:
-            self.records.append((Address(receipt.result), author))
+        if receipt.accepted:
+            self.records.append((receipt.created[0], author))
         return receipt
 
     def _op_fill(self) -> Optional[CallReceipt]:

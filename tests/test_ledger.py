@@ -68,15 +68,18 @@ class ProbeContract:
             if args[32:] == b"fail":
                 raise ContractRejected("ProbeAbort")
             return None
-        if function == "peek":  # the result: the value of the probe at ``args``
+        if function == "peek":  # the value of the probe at ``args``
             return _peek(ctx, args)
         if function == "spawn_peek":  # a probe created earlier in this transaction
             return _peek(ctx, ctx.deploy(ProbeContract.KIND, b"child").digest)
         if function == "poke_peek":  # a state staged earlier in this transaction
             ProbeContract.apply(state, ctx, "poke_peer", args)
             return _peek(ctx, args)
+        if function == "stage_self":  # stages its own target, then returns a state
+            ctx.stage(ctx.self_address, ProbeState(b"staged"))
+            return ProbeState(b"returned")
         if function == "spawn_spawner":  # a child whose constructor deploys a grandchild
-            ctx.set_result(ctx.deploy(ProbeContract.KIND, b"spawn").digest)
+            ctx.deploy(ProbeContract.KIND, b"spawn")
             return None
         if function == "spawn_kind":  # a child of the kind ``args`` names
             ctx.deploy(args.decode("utf-8", "replace"), b"init")
@@ -86,7 +89,7 @@ class ProbeContract:
                 ctx.deploy(ProbeContract.KIND, b"spawn-then-fail")
             except ContractRejected:
                 pass
-            ctx.set_result(ctx.deploy(ProbeContract.KIND, b"child").digest)
+            ctx.deploy(ProbeContract.KIND, b"child")
             return None
         if function == "spawn_caught":  # a child built from ``args``, its refusal caught
             try:
@@ -97,11 +100,9 @@ class ProbeContract:
         if function == "spawn_then_clobber":  # a child, then a refused one that staged it
             child = ctx.deploy(ProbeContract.KIND, b"child")
             ProbeContract.apply(state, ctx, "spawn_caught", b"clobber" + child.digest)
-            ctx.set_result(child.digest)
             return None
         if function == "spawn":
-            child = ctx.deploy(ProbeContract.KIND, b"child")
-            ctx.set_result(child.digest)
+            ctx.deploy(ProbeContract.KIND, b"child")
             if args == b"fail":
                 raise ContractRejected("ProbeAbort")
             return None
@@ -113,10 +114,10 @@ class ProbeContract:
 
 
 def _peek(ctx, pointer):
-    """Set the result to the value of the probe ``pointer`` resolves to, or
-    to ``None`` when it resolves to nothing; the caller's state is unchanged."""
+    """The peeking probe's next state: the value of the probe ``pointer``
+    resolves to, or ``None`` when it resolves to nothing."""
     found = ctx.resolve(pointer, ProbeContract)
-    ctx.set_result(b"None" if found is None else found.value)
+    return ProbeState(b"None" if found is None else found.value)
 
 
 def _run_script(ctx, script):
@@ -425,6 +426,35 @@ def test_staged_peer_update_rolls_back_on_rejection(led, alice):
     assert led.read_state(b) == ProbeState(b"init")
 
 
+def test_a_transition_that_stages_its_own_target_is_refused(led, alice):
+    """The target is written by the transition's return value only; a
+    staged state for it would silently override that value."""
+    a = deploy_probe(led, alice)
+    before = led.state_digests()
+    receipt = led.call(alice, a, "stage_self", b"")
+    assert (receipt.accepted, receipt.reason) == (False, "StagedTarget")
+    assert receipt.created == receipt.committed == ()
+    assert led.read_state(a) == ProbeState(b"init")
+    assert led.state_digests() == before
+    logged = led.log[-1]
+    assert (logged.accepted, logged.reason) == (False, "StagedTarget")
+    assert len(led.history(a)) == 1
+    assert Ledger.replay(led.export()).export() == led.export()
+
+
+def test_a_constructor_that_a_call_runs_cannot_stage_the_call_target(led, alice):
+    """A child's constructor shares the call's target: staging it refuses
+    the child, and the transition that catches the refusal commits nothing."""
+    a = deploy_probe(led, alice)
+    script = [[["stage", a.hex, "m1"]], False]
+    receipt = led.call(alice, a, "spawn_caught", _script_args(script))
+    assert receipt.accepted
+    assert receipt.created == receipt.committed == ()
+    assert led.read_state(a) == ProbeState(b"init")
+    assert led.addresses() == [a]
+    assert Ledger.replay(led.export()).export() == led.export()
+
+
 # -- resolving a pointer inside a transition ------------------------------------
 
 
@@ -432,25 +462,31 @@ def test_staged_peer_update_rolls_back_on_rejection(led, alice):
                          ids=["0-bytes", "31-bytes", "33-bytes", "unknown-address"])
 def test_resolve_finds_nothing_behind_a_pointer_that_names_no_probe(led, alice, pointer):
     a = deploy_probe(led, alice)
-    assert led.call(alice, a, "peek", pointer).result == b"None"
+    assert led.call(alice, a, "peek", pointer).accepted
+    assert led.read_state(a).value == b"None"
 
 
 def test_resolve_finds_nothing_in_a_contract_of_another_kind(led, alice):
     a = deploy_probe(led, alice)
+    b = deploy_probe(led, alice)
     registry = identity.deploy_registry(led, alice)
-    assert led.call(alice, a, "peek", registry.digest).result == b"None"
-    assert led.call(alice, a, "peek", a.digest).result == b"init"
+    led.call(alice, a, "peek", registry.digest)
+    assert led.read_state(a).value == b"None"
+    led.call(alice, a, "peek", b.digest)
+    assert led.read_state(a).value == b"init"
 
 
 def test_resolve_sees_a_contract_created_earlier_in_the_transaction(led, alice):
     a = deploy_probe(led, alice)
-    assert led.call(alice, a, "spawn_peek", b"").result == b"child"
+    led.call(alice, a, "spawn_peek", b"")
+    assert led.read_state(a).value == b"child"
 
 
 def test_resolve_sees_a_state_staged_earlier_in_the_transaction(led, alice):
     a = deploy_probe(led, alice)
     b = deploy_probe(led, alice)
-    assert led.call(alice, a, "poke_peek", b.digest).result == b"poked"
+    led.call(alice, a, "poke_peek", b.digest)
+    assert led.read_state(a).value == b"poked"
 
 
 def test_a_short_peer_pointer_is_refused_and_logged(led, alice):
@@ -461,12 +497,12 @@ def test_a_short_peer_pointer_is_refused_and_logged(led, alice):
     assert (logged.block, logged.accepted, logged.reason) == (receipt.block, False, "UnknownPeer")
 
 
-def test_sub_deploy_commits_with_result(led, alice):
+def test_sub_deploy_commits_the_child_it_created(led, alice):
     a = deploy_probe(led, alice)
     receipt = led.call(alice, a, "spawn", b"ok")
     assert receipt.accepted
-    child = Address(receipt.result)
-    assert child in receipt.created
+    (child,) = receipt.created
+    assert child == derive_address(alice.public.to_bytes(), receipt.seq, 1)
     assert led.read_state(child) == ProbeState(b"child")
 
 
@@ -491,7 +527,6 @@ def test_a_child_deployed_by_a_child_gets_the_next_index(led, alice):
     child, grandchild = derive_address(key, receipt.seq, 1), derive_address(key, receipt.seq, 2)
     assert receipt.accepted
     assert receipt.created == receipt.committed == (child, grandchild)
-    assert Address(receipt.result) == child
     assert led.read_state(child) == ProbeState(b"spawn")
     assert led.read_state(grandchild) == ProbeState(b"child")
     data = led.export()
@@ -506,7 +541,7 @@ def test_a_refused_constructor_leaves_no_contract_even_when_caught(led, alice):
     receipt = led.call(alice, a, "spawn_after_refusal", b"")
     child = derive_address(alice.public.to_bytes(), receipt.seq, 1)
     assert receipt.accepted
-    assert receipt.created == receipt.committed == (child,) == (Address(receipt.result),)
+    assert receipt.created == receipt.committed == (child,)
     assert led.read_state(child) == ProbeState(b"child")
     assert len(led.addresses()) == 2
     data = led.export()
@@ -531,7 +566,7 @@ def test_a_caught_constructor_refusal_takes_back_what_it_staged_in_a_sibling(led
     transaction: the child commits with the state its own constructor gave."""
     a = deploy_probe(led, alice)
     receipt = led.call(alice, a, "spawn_then_clobber", b"")
-    child = Address(receipt.result)
+    child = derive_address(alice.public.to_bytes(), receipt.seq, 1)
     assert receipt.accepted
     assert led.read_state(child) == ProbeState(b"child")
     assert receipt.created == receipt.committed == (child,)
@@ -655,7 +690,7 @@ def test_a_receipt_names_what_its_transaction_committed(led, alice):
     # the transition returns None: only the staged peer is committed
     assert led.call(alice, a, "poke_peer", b.digest + b"ok").committed == (b,)
     spawned = led.call(alice, a, "spawn", b"ok")
-    assert spawned.committed == (Address(spawned.result),)
+    assert spawned.committed == (derive_address(alice.public.to_bytes(), spawned.seq, 1),)
 
 
 def test_a_rejected_call_commits_nothing(led, alice):

@@ -4,7 +4,7 @@ freezing, traversal, and classification."""
 import pytest
 
 from creditchain import crypto, identity, public_records as records
-from creditchain.ledger import Address, Ledger
+from creditchain.ledger import Address, Ledger, derive_address
 
 
 @pytest.fixture
@@ -50,6 +50,23 @@ def test_mint_tracks_record_in_factory(world):
     assert record.author_key == author.public.to_bytes()
     assert record.parent_factory == factory.digest
     assert record.data is None
+
+
+def test_a_mint_receipt_names_the_record_it_created(world):
+    """A mint creates one record and commits it, then the factory; the
+    record is the one ``mint_record`` returns and the factory lists."""
+    led, _, factory = world
+    author = pair("author")
+    key = author.public.to_bytes()
+    receipt = led.call(author, factory, "mint", b"")
+    (record,) = receipt.created
+    assert record == derive_address(key, receipt.seq, 1)
+    assert receipt.committed == (record, factory)
+    assert led.read_state(record).author_key == key
+    seq = len(led.log)
+    minted = records.mint_record(led, factory, author)
+    assert minted == derive_address(key, seq, 1)
+    assert list(led.read_state(factory).minted) == [record.digest, minted.digest]
 
 
 def test_fill_requires_author(world):
