@@ -678,9 +678,15 @@ class _Runner:
 
 def audit_replay(world: SimWorld) -> None:
     """The exported history must rebuild to the live per-contract digests and
-    height, which the export's footer carries and replay checks."""
+    height, which the export's footer carries and replay checks.
+
+    The world's own ledger admitted every transaction in its log, so the
+    replay takes those signatures as given (``admitted_by``) and re-verifies
+    only records that differ from that log.  A lender's replay verifies them
+    all; only a bad signature written into the log behind the ledger's back,
+    whose re-execution still matches the live states, passes this sweep."""
     try:
-        Ledger.replay(world.ledger.export())
+        Ledger.replay(world.ledger.export(), admitted_by=world.ledger)
     except ReplayMismatch as exc:
         raise AuditFailure(f"replay diverged from the live ledger: {exc}") from exc
 

@@ -29,7 +29,15 @@ sign with the caller's own ``crypto.KeyPair`` and hand ``submit`` that very
 object, which it admits without the check: a key pair's halves match by
 construction, and an Ed25519 signature made with a private key always
 verifies under its own public key, so the check could never fail there.
-Every logged transaction therefore carries a valid signature.
+Every logged transaction therefore carries a valid signature.  A lender
+replays with ``Ledger.replay(data)``, which verifies every signature.  The
+audit of a live ledger's own export passes ``admitted_by=`` that ledger and
+takes as given what it admitted: a record equal, field for field, to the
+transaction at the same position in that ledger's log is admitted without
+the check, and every other record is checked.  The one thing this audit no
+longer catches is a log entry written behind the ledger's back (``_log``
+edited directly) with a bad signature whose re-execution still reproduces
+the live states; every lender replay refuses it.
 
 Determinism is the load-bearing property.  Contract addresses hash the
 deployer key, the global transaction sequence number and a creation index
@@ -401,7 +409,9 @@ class Ledger:
         return self._submit_own(make_transaction(caller, target, function, args))
 
     def _submit_own(self, tx: Transaction) -> CallReceipt:
-        """Submit ``tx``, just signed with a KeyPair by ``call``/``deploy``.
+        """Submit ``tx`` without its signature check: ``call``/``deploy`` just
+        signed it with a KeyPair, or ``replay`` found it in the log of the
+        ledger that admitted it.
 
         ``submit`` stays the one entry point every admitted transaction
         passes; it recognises this object and skips the check that cannot fail.
@@ -417,7 +427,8 @@ class Ledger:
 
         A transaction signed elsewhere must verify under ``tx.caller``, since
         nothing else vouches for it; only the object ``call``/``deploy`` are
-        submitting right now skips that check.  Raises BadSignature /
+        submitting right now, or ``replay`` has matched in an admitting
+        ledger's log, skips that check.  Raises BadSignature /
         UnknownAddress / ChainFull without touching the chain (the last
         height has no block left to seal).  A refused call or deployment (its
         constructor refused or its kind is unknown) is logged and returned as
@@ -595,7 +606,7 @@ class Ledger:
         return out.getvalue()
 
     @classmethod
-    def replay(cls, data: bytes) -> "Ledger":
+    def replay(cls, data: bytes, admitted_by: Optional["Ledger"] = None) -> "Ledger":
         """Re-execute an exported log from genesis and verify the outcome.
 
         Every transaction must reproduce its recorded accept/reject status
@@ -606,19 +617,30 @@ class Ledger:
         again on ``submit``.  Transactions with equal caller keys, targets or
         function names share one object for each, so the replayed log holds
         each distinct value once.
+
+        A lender passes no ``admitted_by`` and so verifies every signature.
+        ``admitted_by`` is for a ledger auditing its own export: a record
+        whose transaction equals, field for field, the one at the same
+        position in ``admitted_by``'s log goes to ``submit`` without the
+        signature check, as ``call``/``deploy`` do; any other record, one
+        past the end of that log too, is checked.  It takes that ledger's
+        log as admitted, so a bad signature written into ``_log`` behind its
+        back is not noticed here when re-execution still reproduces the states.
         """
         try:
             final_height, records, footer = _decode_export(data)
         except ValueError as exc:  # codec.DecodeError or a bad address
             raise ReplayMismatch(f"malformed export: {exc}") from exc
 
+        admitted = [] if admitted_by is None else admitted_by._log
         ledger = cls()
         for i, (block, rejected, tx) in enumerate(records):
             if block < ledger.height:
                 raise ReplayMismatch(f"transaction {i} block number out of order")
             ledger.advance_block(block - ledger.height)
             try:
-                accepted = ledger.submit(tx).accepted
+                own = i < len(admitted) and admitted[i].tx == tx
+                accepted = (ledger._submit_own if own else ledger.submit)(tx).accepted
             except LedgerError as exc:
                 raise ReplayMismatch(f"transaction {i} failed to re-execute: {exc}") from exc
             if accepted == rejected:

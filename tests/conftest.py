@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from creditchain import crypto  # noqa: E402
 from creditchain.harness import run_scenario  # noqa: E402
 
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
@@ -26,3 +27,17 @@ def chain5_world():
     import helpers
 
     return helpers.build_chain_world(5)
+
+
+@pytest.fixture
+def verifies(monkeypatch):
+    """The signature of every ``crypto.verify`` call, in order."""
+    seen = []
+    real = crypto.verify
+
+    def counting(public, message, signature):
+        seen.append(signature)
+        return real(public, message, signature)
+
+    monkeypatch.setattr(crypto, "verify", counting)
+    return seen

@@ -6,6 +6,7 @@ import hashlib
 import pytest
 
 from creditchain import attacks, cli, harness, reader
+from creditchain.ledger import Ledger
 
 
 @pytest.mark.parametrize("name", sorted(attacks.SUITES))
@@ -24,6 +25,20 @@ def test_suite_deterministic(name):
 def test_unknown_suite_name():
     with pytest.raises(ValueError):
         attacks.run_suite("nonexistent")
+
+
+@pytest.mark.parametrize("name", sorted(attacks.SUITES))
+def test_attack_worlds_replay_alike_with_their_admitted_log(name, verifies):
+    """Foreign submits, refused deployments and refused forgeries replay to
+    the same export whether or not the live log vouches for them, and the
+    audit, which lets it, verifies no signature."""
+    world = attacks.run_suite(name).world
+    data = world.ledger.export()
+    assert Ledger.replay(data, admitted_by=world.ledger).export() == data
+    assert Ledger.replay(data).export() == data
+    verifies.clear()
+    harness.audit_replay(world)
+    assert verifies == []
 
 
 def test_attack_worlds_replay_and_audit_clean():

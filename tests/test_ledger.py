@@ -7,12 +7,14 @@ import json
 import time
 import tracemalloc
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from creditchain import codec, crypto, identity
+from creditchain import codec, crypto, harness, identity
+from creditchain.harness import SimWorld, run_scenario
 from creditchain.ledger import (
     EXPORT_MAGIC,
     EXPORT_VERSION,
@@ -25,6 +27,7 @@ from creditchain.ledger import (
     Ledger,
     ReplayMismatch,
     UnknownAddress,
+    _decode_export,
     derive_address,
     make_transaction,
     register_contract,
@@ -271,20 +274,6 @@ def test_unknown_address_raises_without_logging(led, alice):
 # -- who verifies signatures -----------------------------------------------------
 
 
-@pytest.fixture
-def verifies(monkeypatch):
-    """Every ``crypto.verify`` call the ledger makes, in order."""
-    seen = []
-    real = crypto.verify
-
-    def counting(public, message, signature):
-        seen.append(signature)
-        return real(public, message, signature)
-
-    monkeypatch.setattr(crypto, "verify", counting)
-    return seen
-
-
 def test_mismatched_key_pair_never_reaches_the_ledger(led):
     victim = crypto.generate_keypair(b"ledger-victim")
     thief = crypto.generate_keypair(b"ledger-thief")
@@ -358,6 +347,123 @@ def test_every_logged_call_verifies_under_its_caller(seed, calls):
     replayed = Ledger.replay(led.export())
     assert replayed.state_digests() == led.state_digests()
     assert all(entry.tx.caller == caller.public.to_bytes() for entry in replayed.log)
+
+
+def _encode_export(height, records, footer):
+    """The export of (final height, [(block, rejected, tx)], [(address, digest)]),
+    laid out as ``Ledger.export`` writes it."""
+    parts = [EXPORT_MAGIC, codec.u16(EXPORT_VERSION), codec.u64(height), codec.u32(len(records))]
+    write = parts.append
+    for block, rejected, tx in records:
+        parts += [codec.u64(block), codec.u8(rejected), codec.u8(tx.is_deploy())]
+        for blob in (tx.caller, b"" if tx.target is None else tx.target.digest,
+                     codec.text(tx.function), tx.args, tx.signature):
+            codec.write_blob(write, blob)
+    write(codec.u32(len(footer)))
+    for address, digest in footer:
+        codec.write_blob(write, address)
+        codec.write_blob(write, digest)
+    return b"".join(parts)
+
+
+def _replay_outcome(data, admitted_by=None):
+    """The re-export of a replay of ``data``, or its ReplayMismatch message."""
+    try:
+        return "replayed", Ledger.replay(data, admitted_by=admitted_by).export()
+    except ReplayMismatch as exc:
+        return "refused", str(exc)
+
+
+@pytest.fixture(scope="module")
+def foreign_records():
+    """The decoded records of the lifecycle scenario run in another world:
+    each validly signed, none in the lifecycle world's own log."""
+    scenario = (Path(__file__).parent.parent / "scenarios" / "lifecycle.scn").read_text()
+    world = run_scenario(scenario, world=SimWorld(seed=b"foreign")).world
+    return _decode_export(world.ledger.export())[1]
+
+
+def test_the_audit_takes_its_own_ledgers_signatures_as_given(lifecycle_world, verifies):
+    harness.audit_replay(lifecycle_world)
+    assert verifies == []
+    Ledger.replay(lifecycle_world.ledger.export())
+    assert verifies == [entry.tx.signature for entry in lifecycle_world.ledger.log]
+
+
+def test_replay_checks_each_record_the_admitting_log_does_not_hold(led, alice, verifies):
+    addr = deploy_probe(led, alice)
+    led.call(alice, addr, "set", b"x")
+    earlier = Ledger.replay(led.export())
+    led.call(alice, addr, "set", b"y")
+    led.call(alice, addr, "set", b"z")
+    verifies.clear()
+    Ledger.replay(led.export(), admitted_by=earlier)
+    assert verifies == [entry.tx.signature for entry in led.log[2:]]
+
+
+def test_a_record_that_differs_from_the_admitted_one_only_in_its_signature_is_refused(
+        lifecycle_world):
+    live = lifecycle_world.ledger
+    height, records, footer = _decode_export(live.export())
+    for i in (0, len(records) // 2, len(records) - 1):
+        block, rejected, tx = records[i]
+        forged = replace(tx, signature=bytes([tx.signature[0] ^ 1]) + tx.signature[1:])
+        data = _encode_export(height, records[:i] + [(block, rejected, forged)] + records[i + 1:], footer)
+        message = f"transaction {i} failed to re-execute: transaction signature does not verify"
+        with pytest.raises(ReplayMismatch, match=message):
+            Ledger.replay(data, admitted_by=live)
+
+
+def test_a_bad_signature_written_into_the_log_passes_only_its_own_audit(led, alice):
+    """The one entry the audit no longer catches: written behind the ledger's
+    back, it re-executes to the live states.  A lender's replay refuses it."""
+    addr = deploy_probe(led, alice)
+    led.call(alice, addr, "set", b"x")
+    entry = led._log[1]
+    led._log[1] = replace(entry, tx=replace(entry.tx, signature=bytes(64)))
+    data = led.export()
+    assert Ledger.replay(data, admitted_by=led).export() == data
+    with pytest.raises(ReplayMismatch, match="transaction 1 failed to re-execute"):
+        Ledger.replay(data)
+
+
+@st.composite
+def _export_mutations(draw, data, foreign):
+    """``data`` with one byte flipped or cut short, or its records with one
+    signature or args replaced, two swapped, or a foreign record spliced in."""
+    height, own, footer = _decode_export(data)
+    kind = draw(st.sampled_from(["flip", "truncate", "signature", "args", "swap", "splice"]))
+    if kind == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + bytes([data[at] ^ (1 << draw(st.integers(0, 7)))]) + data[at + 1:]
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    i = draw(st.integers(0, len(own) - 1))
+    block, rejected, tx = own[i]
+    if kind == "signature":
+        own[i] = block, rejected, replace(tx, signature=draw(st.binary(min_size=64, max_size=64)))
+    elif kind == "args":
+        own[i] = block, rejected, replace(tx, args=draw(st.binary(max_size=80)))
+    elif kind == "swap":
+        j = draw(st.integers(0, len(own) - 1))
+        own[i], own[j] = own[j], own[i]
+    else:
+        own.insert(i, draw(st.sampled_from(foreign)))
+    return _encode_export(height, own, footer)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_replay_with_the_admitting_log_refuses_what_a_full_replay_refuses(
+        lifecycle_world, foreign_records, data):
+    live = lifecycle_world.ledger
+    export = live.export()
+    assert _encode_export(*_decode_export(export)) == export
+    mutated = data.draw(_export_mutations(export, foreign_records))
+    full = _replay_outcome(mutated)
+    assert _replay_outcome(mutated, admitted_by=live) == full
+    if full[0] == "replayed":
+        assert full[1] == mutated
 
 
 # -- the block a transaction lands in ----------------------------------------------

@@ -199,6 +199,18 @@ def test_disclose_then_report_verifies(capsys, disclosure_files):
     assert out.count("account=") == 3  # alice's chain
 
 
+def test_replay_and_report_verify_every_transaction_signature(capsys, disclosure_files, verifies):
+    """A lender's commands take nothing as admitted: each replay checks the
+    signature of every transaction in the export it was handed, in log order."""
+    ledger, bundle, trust, identity_hex = disclosure_files
+    signatures = [entry.tx.signature for entry in Ledger.replay(ledger.read_bytes()).log]
+    for argv in (("replay", ledger),
+                 ("report", identity_hex, "--ledger", ledger, "--bundle", bundle, "--trust", trust)):
+        verifies.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        assert verifies[:len(signatures)] == signatures
+
+
 def test_report_reads_files_in_the_old_indented_layout(capsys, disclosure_files):
     ledger, bundle, trust, identity_hex = disclosure_files
     argv = ("report", identity_hex, "--ledger", ledger, "--bundle", bundle, "--trust", trust)
