@@ -82,6 +82,24 @@ def pack(*fields: bytes) -> bytes:
     return b"".join([_U32(len(f)) + f for f in fields])
 
 
+def exhausted(needed: int, offset: int) -> DecodeError:
+    """The error for input that ends before the ``needed`` bytes of a field
+    that starts at ``offset``."""
+    return DecodeError(f"needed {needed} bytes at offset {offset}, stream exhausted")
+
+
+def blob_at(data: bytes, pos: int, end: int) -> tuple[bytes, int]:
+    """The blob whose u32 length prefix is at ``pos``, and the offset just
+    past it.  Raises DecodeError if the prefix or the blob runs past ``end``."""
+    start = pos + 4
+    if start > end:
+        raise exhausted(4, pos)
+    stop = start + _U32_AT(data, pos)[0]
+    if stop > end:
+        raise exhausted(stop - start, start)
+    return data[start:stop], stop
+
+
 def split(data: bytes) -> list[bytes]:
     """Inverse of pack() for any field count: every field, in order, read in
     one pass by offset.  Raises DecodeError if ``data`` ends inside a length
@@ -90,11 +108,11 @@ def split(data: bytes) -> list[bytes]:
     pos, end = 0, len(data)
     while pos < end:
         if end - pos < 4:
-            raise DecodeError(f"needed 4 bytes at offset {pos}, stream exhausted")
+            raise exhausted(4, pos)
         start = pos + 4
         pos = start + _U32_AT(data, pos)[0]
         if pos > end:
-            raise DecodeError(f"needed {pos - start} bytes at offset {start}, stream exhausted")
+            raise exhausted(pos - start, start)
         fields.append(data[start:pos])
     return fields
 
@@ -125,7 +143,7 @@ class ByteReader:
 
     def take(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
-            raise DecodeError(f"needed {n} bytes at offset {self._pos}, stream exhausted")
+            raise exhausted(n, self._pos)
         out = self._data[self._pos : self._pos + n]
         self._pos += n
         return out

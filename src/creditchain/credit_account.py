@@ -242,9 +242,20 @@ def commit_account(led: Ledger, caller: crypto.KeyPair, institution_identity: cr
     transaction unlinkable); the signature inside is by the institution's
     registered identity, which is the whole point.
     """
-    message = commitment_message(account, institution_identity.public, customer_identity)
-    signature = crypto.sign(institution_identity.private, message)
+    signature = sign_commitment(institution_identity, account, customer_identity)
     return led.call(caller, account, "commit", signature)
+
+
+def sign_commitment(institution_identity: crypto.KeyPair, account: Address,
+                    customer_identity: crypto.PublicKey) -> bytes:
+    """The commitment signature an institution makes for ``account``.
+
+    Ed25519 signing is deterministic (RFC 8032 section 5.1.6), so this is
+    also the only signature ``commit_account`` could have stored: whoever
+    holds the institution's private key checks a commitment by signing again
+    and comparing bytes, as ``harness.audit_attribution`` does."""
+    message = commitment_message(account, institution_identity.public, customer_identity)
+    return crypto.sign(institution_identity.private, message)
 
 
 def verify_commitment(state: CreditAccountState, account: Address,

@@ -770,14 +770,22 @@ def audit_true_identity_absence(world: SimWorld) -> None:
 
 def audit_attribution(world: SimWorld) -> None:
     """Signatures must bind: record fills to their author, commitments to
-    the institution the world says opened the account."""
+    the institution the world says opened the account.
+
+    The world holds every signer's private key and Ed25519 signing is
+    deterministic (RFC 8032 section 5.1.6), so each check signs again with
+    the world's key and compares bytes instead of verifying.  Equal bytes
+    verify, since a ``KeyPair``'s halves match; the comparison only refuses
+    more, a valid signature made with another nonce, which nothing here
+    makes.  A record must also name its author's key, as ``fill`` demands."""
     led = world.ledger
     for handle in world.records.values():
         state = led.read_state(handle.address)
         if state.data is None or state.signature is None or handle.plaintext is None:
             continue
-        author = crypto.PublicKey.from_bytes(state.author_key)
-        if not crypto.verify(author, handle.plaintext, state.signature):
+        author = world.actor(handle.author)
+        if (state.author_key != author.public.to_bytes()
+                or crypto.sign(author.private, handle.plaintext) != state.signature):
             raise AuditFailure(f"record {handle.name} signature does not verify")
     for handle in world.accounts.values():
         if handle.address is None:
@@ -785,10 +793,9 @@ def audit_attribution(world: SimWorld) -> None:
         state = led.read_state(handle.address)
         if state.commitment is None:
             continue
-        ok = accounts.verify_commitment(
-            state, handle.address, world.actor(handle.institution).public,
-            world.actor(handle.customer).public)
-        if not ok:
+        expected = accounts.sign_commitment(world.actor(handle.institution), handle.address,
+                                            world.actor(handle.customer).public)
+        if expected != state.commitment:
             raise AuditFailure(f"account {handle.name} commitment does not verify")
 
 

@@ -37,7 +37,10 @@ transaction at the same position in that ledger's log is admitted without
 the check, and every other record is checked.  The one thing this audit no
 longer catches is a log entry written behind the ledger's back (``_log``
 edited directly) with a bad signature whose re-execution still reproduces
-the live states; every lender replay refuses it.
+the live states; every lender replay refuses it.  The attribution audit
+checks the signatures inside contract state, commitments and record fills,
+by signing again with the world's own keys and comparing bytes, which
+relies on Ed25519 signing being deterministic (RFC 8032) as ``call`` does.
 
 Determinism is the load-bearing property.  Contract addresses hash the
 deployer key, the global transaction sequence number and a creation index
@@ -51,18 +54,19 @@ Export and replay in bounded extra memory.  A reader trusts nothing but the
 export, so it replays the whole log before reading anything, and these two
 calls set the memory ceiling.  ``export`` writes every field straight into
 one buffer, a blob's length and then the bytes object the transaction
-already holds, so it builds no per-field copies.  Decoding an export shares
-repeated values: equal caller keys, target addresses and function names
-become one object each, which every replayed ``Transaction`` holds.  The
-footer's state digests are kept on each contract's record beside the state
-they were computed from, so an export encodes only the states that changed
-since the last digest, and a replayed ledger re-exports without encoding
-any.
+already holds, so it builds no per-field copies.  Decoding an export reads
+it in one pass by offset and shares repeated values: equal caller keys,
+target addresses and function names become one object each, which every
+replayed ``Transaction`` holds.  The footer's state digests are kept on
+each contract's record beside the state they were computed from, so an
+export encodes only the states that changed since the last digest, and a
+replayed ledger re-exports without encoding any.
 """
 
 from __future__ import annotations
 
 import io
+import struct
 from dataclasses import dataclass, fields
 from functools import cache
 from typing import Any, ClassVar, Optional, Protocol
@@ -659,35 +663,51 @@ class Ledger:
         return ledger
 
 
+_RECORD_HEAD = struct.Struct(">QBB").unpack_from  # block, status, deploy flag
+_U32_AT = struct.Struct(">I").unpack_from
+
+
 def _decode_export(data: bytes) -> tuple[int, list[tuple[int, bool, Transaction]], list[tuple[bytes, bytes]]]:
     """Split an export into (final height, [(block, rejected, tx)], [(address, digest)]).
 
     Accepts only the canonical encoding ``Ledger.export`` writes: flags are
     0 or 1 and a deployment has an empty target.  Layout errors raise
-    ValueError (codec.DecodeError, including bad UTF-8, or a bad address).
-    Equal caller keys, target addresses and function names decode to one
-    shared object each, found through tables that live only for this call.
+    ValueError (codec.DecodeError, including bad UTF-8, or a bad address),
+    naming the absolute offset at which the input ran out.  Equal caller
+    keys, target addresses and function names decode to one shared object
+    each, found through tables that live only for this call; each distinct
+    function name's UTF-8 is decoded once.
+
+    Past the header, one pass by offset: a record is one ``struct`` read of
+    its head, then five blobs (``codec.blob_at``) in the order ``export``
+    wrote them.
     """
-    reader = codec.ByteReader(data)
-    if reader.take(4) != EXPORT_MAGIC:
+    header = codec.ByteReader(data)
+    if header.take(4) != EXPORT_MAGIC:
         raise ReplayMismatch("not a ledger export")
-    version = reader.u16()
+    version = header.u16()
     if version != EXPORT_VERSION:
         raise ReplayMismatch(f"unsupported export version {version}")
-    final_height = reader.u64()
+    final_height = header.u64()
+    count = header.u32()
+    end = len(data)
+    pos = end - header.remaining()
+    blob_at = codec.blob_at
     callers: dict[bytes, bytes] = {}
     targets: dict[bytes, Address] = {}
-    functions: dict[str, str] = {}
+    functions: dict[bytes, str] = {}
     records = []
-    for i in range(reader.u32()):
-        block = reader.u64()
-        rejected = reader.u8()
-        is_deploy = reader.u8()
-        caller = reader.blob()
-        target_raw = reader.blob()
-        function = reader.text()
-        args = reader.blob()
-        signature = reader.blob()
+    for i in range(count):
+        if end - pos < 10:  # the u64 block, then two u8 flags
+            raise codec.exhausted(8, pos) if end - pos < 8 else codec.exhausted(1, end)
+        block, rejected, is_deploy = _RECORD_HEAD(data, pos)
+        caller, pos = blob_at(data, pos + 10, end)
+        target_raw, pos = blob_at(data, pos, end)
+        function_raw, pos = blob_at(data, pos, end)
+        if (function := functions.get(function_raw)) is None:
+            function = functions[function_raw] = codec.decode_text(function_raw)
+        args, pos = blob_at(data, pos, end)
+        signature, pos = blob_at(data, pos, end)
         if rejected > 1 or is_deploy > 1 or (is_deploy and target_raw):
             raise codec.DecodeError(f"transaction {i} has non-canonical flags")
         if is_deploy:
@@ -695,9 +715,16 @@ def _decode_export(data: bytes) -> tuple[int, list[tuple[int, bool, Transaction]
         elif (target := targets.get(target_raw)) is None:
             target = targets[target_raw] = Address(target_raw)
         tx = Transaction(caller=callers.setdefault(caller, caller), target=target,
-                         function=functions.setdefault(function, function),
-                         args=args, signature=signature)
+                         function=function, args=args, signature=signature)
         records.append((block, bool(rejected), tx))
-    footer = [(reader.blob(), reader.blob()) for _ in range(reader.u32())]
-    reader.expect_end()
+    if end - pos < 4:
+        raise codec.exhausted(4, pos)
+    contracts, pos = _U32_AT(data, pos)[0], pos + 4
+    footer = []
+    for _ in range(contracts):
+        address, pos = blob_at(data, pos, end)
+        state_digest, pos = blob_at(data, pos, end)
+        footer.append((address, state_digest))
+    if pos != end:
+        raise codec.DecodeError(f"{end - pos} trailing bytes after expected end")
     return final_height, records, footer

@@ -32,12 +32,15 @@ A diff points only at newer versions, so a superseded value stays alive
 only while some held version can still read it; once every such version is
 dropped, the collector frees it.  Iteration follows insertion order, so
 encoding a version walks its keys in the order they were first written,
-just as a dict would.
+just as a dict would.  ``values()`` and ``items()`` of the newest version
+iterate copies of the dict's keys and values, taken in C when iteration
+starts, so a ``put`` made meanwhile does not show; an older version looks
+each key up through its diffs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from itertools import islice
 from typing import Any, TypeVar
 
@@ -93,8 +96,35 @@ class VersionedMap(Mapping[K, V]):
     def __len__(self) -> int:
         return self._len
 
+    def values(self) -> ValuesView[V]:
+        return _Values(self)
+
+    def items(self) -> ItemsView[K, V]:
+        return _Items(self)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[Any]:
+        latest = self._mapping._latest
+        if latest is None:
+            return super().__iter__()
+        return iter(list(latest.values()))
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[Any, Any]]:
+        latest = self._mapping._latest
+        if latest is None:
+            return super().__iter__()
+        # zip reuses its tuple when the loop drops it; a list of items would not
+        return zip(list(latest), list(latest.values()))
 
 
 def _copied(mapping: Mapping[K, V]) -> VersionedMap[K, V]:

@@ -273,3 +273,35 @@ def write_raw_payload(world: SimWorld, account: str, payload: bytes,
     assert receipt.accepted, receipt
     handle.update_count += 1
     handle.latest_payload = payload
+
+
+def attribution_verdicts(world: SimWorld) -> list[tuple[str, bool, bool]]:
+    """(name, re-signed, verified) for every committed account and filled
+    record ``world`` tracks.  *Re-signed* is ``harness.audit_attribution``'s
+    predicate: signing again with the world's key gives the stored bytes
+    (and a record names its author's key).  *Verified* is the signature
+    check that predicate stands in for."""
+    verdicts = []
+    for handle in world.accounts.values():
+        if handle.address is None:
+            continue
+        state = world.ledger.read_state(handle.address)
+        if state.commitment is None:
+            continue
+        institution, customer = world.actor(handle.institution), world.actor(handle.customer)
+        resigned = accounts.sign_commitment(institution, handle.address,
+                                            customer.public) == state.commitment
+        verified = accounts.verify_commitment(state, handle.address, institution.public,
+                                              customer.public)
+        verdicts.append((handle.name, resigned, verified))
+    for handle in world.records.values():
+        state = world.ledger.read_state(handle.address)
+        if state.data is None or state.signature is None or handle.plaintext is None:
+            continue
+        author = world.actor(handle.author)
+        resigned = (state.author_key == author.public.to_bytes()
+                    and crypto.sign(author.private, handle.plaintext) == state.signature)
+        verified = crypto.verify(crypto.PublicKey.from_bytes(state.author_key),
+                                 handle.plaintext, state.signature)
+        verdicts.append((handle.name, resigned, verified))
+    return verdicts

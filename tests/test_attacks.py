@@ -5,6 +5,7 @@ import hashlib
 
 import pytest
 
+import helpers
 from creditchain import attacks, cli, harness, reader
 from creditchain.ledger import Ledger
 
@@ -52,6 +53,26 @@ def test_attack_worlds_replay_and_audit_clean():
         harness.audit_write_once(world)
         harness.audit_chain_validity(world, strict=False)
         harness.audit_true_identity_absence(world)
+
+
+@pytest.mark.parametrize("name", sorted(attacks.SUITES))
+def test_attack_worlds_pass_attribution_and_the_observer_scan(name):
+    world = attacks.run_suite(name).world
+    harness.audit_attribution(world)
+    harness.observer_link_scan(world)
+
+
+def test_attribution_resigning_agrees_with_verification(lifecycle_world):
+    """On every committed account and filled record the world tracks, the
+    audit's re-sign-and-compare predicate and signature verification agree.
+    The suites track neither (their accounts are uncommitted, their records
+    filed around the world's handles), so lifecycle carries the comparison."""
+    verdicts = helpers.attribution_verdicts(lifecycle_world)
+    for name in sorted(attacks.SUITES):
+        verdicts += helpers.attribution_verdicts(attacks.run_suite(name).world)
+    assert [(name, resigned) for name, resigned, _ in verdicts] == \
+        [(name, verified) for name, _, verified in verdicts]
+    assert len(verdicts) == 9 and all(resigned for _, resigned, _ in verdicts)
 
 
 def test_pointer_poison_scales():

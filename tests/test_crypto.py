@@ -111,6 +111,31 @@ def test_signature_bound_to_message_and_key():
     assert not crypto.verify(bob.public, b"pay alice", signature)
 
 
+def test_ed25519_signing_reproduces_rfc8032_test_1():
+    """The attribution audit checks a signature by signing again, which
+    holds only while the library signs as RFC 8032 section 7.1 says."""
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+    key = Ed25519PrivateKey.from_private_bytes(bytes.fromhex(
+        "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60"))
+    assert key.public_key().public_bytes_raw() == bytes.fromhex(
+        "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a")
+    assert key.sign(b"") == bytes.fromhex(
+        "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e065224901555"
+        "fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b")
+
+
+@given(seeds, messages)
+@settings(max_examples=30)
+def test_signing_is_deterministic(seed, message):
+    """The same key and message give the same bytes, twice from one key
+    object and once more from a key rebuilt from its master secret."""
+    private = crypto.generate_keypair(seed).private
+    signature = crypto.sign(private, message)
+    assert crypto.sign(private, message) == signature
+    assert crypto.sign(crypto.PrivateKey(private.master), message) == signature
+
+
 # -- encryption ----------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from creditchain import codec, crypto, harness
 from creditchain.harness import (
     AuditFailure,
@@ -435,6 +436,78 @@ def test_observer_link_scan_ignores_near_miss():
     near = address[:-1] + bytes([address[-1] ^ 1])
     _plant_pointer(world, "careless", b"\x01" * 7 + near + address[:31])
     harness.observer_link_scan(world)
+
+
+# MINI, a second registered institution, an account of ana's at bank that
+# nobody has committed to yet, and a filled record of bank's
+ATTRIBUTION = MINI + """
+GENKEY bank2
+REGISTER bank2 "US:INST-2"
+CEREMONY ana bank acct2
+OPEN acct2 300
+MINT bank note
+FILL note plaintext "paid in full"
+"""
+
+
+def _commit_signature(world, account, signature):
+    handle = world.account(account)
+    receipt = world.ledger.call(handle.institution_view.institution, handle.address,
+                                "commit", signature)
+    assert receipt.accepted
+
+
+def _doctor_record(world, name, **changes):
+    record = world.ledger._contracts[world.records[name].address]
+    record.state = dataclasses.replace(record.state, **changes)
+
+
+def test_audit_attribution_passes_when_every_signature_binds():
+    world = run_scenario(ATTRIBUTION).world
+    harness.audit_attribution(world)
+    assert helpers.attribution_verdicts(world) == [("acct", True, True), ("note", True, True)]
+
+
+def test_audit_attribution_refuses_a_commitment_by_another_institution():
+    from creditchain import credit_account as accounts
+
+    world = run_scenario(ATTRIBUTION).world
+    handle = world.account("acct2")
+    _commit_signature(world, "acct2", accounts.sign_commitment(
+        world.actor("bank2"), handle.address, world.actor("ana").public))
+    with pytest.raises(AuditFailure, match="^account acct2 commitment does not verify$"):
+        harness.audit_attribution(world)
+    assert ("acct2", False, False) in helpers.attribution_verdicts(world)
+
+
+def test_audit_attribution_refuses_a_commitment_over_another_account():
+    world = run_scenario(ATTRIBUTION).world
+    # bank's own signature, but over acct's binding, not acct2's
+    _commit_signature(world, "acct2", world.ledger.read_state(
+        world.account("acct").address).commitment)
+    with pytest.raises(AuditFailure, match="^account acct2 commitment does not verify$"):
+        harness.audit_attribution(world)
+    assert ("acct2", False, False) in helpers.attribution_verdicts(world)
+
+
+def test_audit_attribution_refuses_a_record_signed_by_another_key():
+    world = run_scenario(ATTRIBUTION).world
+    handle = world.records["note"]
+    _doctor_record(world, "note", signature=crypto.sign(world.actor("bank2").private,
+                                                        handle.plaintext))
+    with pytest.raises(AuditFailure, match="^record note signature does not verify$"):
+        harness.audit_attribution(world)
+    assert ("note", False, False) in helpers.attribution_verdicts(world)
+
+
+def test_audit_attribution_refuses_a_record_naming_another_author():
+    """The signature is still the author's; only the key the record names
+    changed, so the key comparison is what refuses it."""
+    world = run_scenario(ATTRIBUTION).world
+    _doctor_record(world, "note", author_key=world.actor("bank2").public.to_bytes())
+    with pytest.raises(AuditFailure, match="^record note signature does not verify$"):
+        harness.audit_attribution(world)
+    assert ("note", False, False) in helpers.attribution_verdicts(world)
 
 
 def test_scenario_files_run_green():

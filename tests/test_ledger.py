@@ -1005,6 +1005,72 @@ def test_mutated_export_is_refused_or_reproduced(data):
     assert led.export() == data
 
 
+@functools.cache
+def rejections_export():
+    """The export of ``scenarios/rejections.scn``: a refused deployment and
+    refused calls among accepted ones."""
+    path = Path(__file__).parent.parent / "scenarios" / "rejections.scn"
+    return run_scenario(path.read_text()).world.ledger.export()
+
+
+def _refused_or_reproduced(data):
+    try:
+        led = Ledger.replay(data)
+    except ReplayMismatch:
+        return
+    assert led.export() == data
+
+
+def test_prefixes_of_an_export_are_refused():
+    """Every cut through the header and the first records, then every fifth
+    (each prefix decodes up to its end, so all of them cost quadratic time)."""
+    data = rejections_export()
+    for cut in [*range(512), *range(512, len(data), 5)]:
+        with pytest.raises(ReplayMismatch):
+            Ledger.replay(data[:cut])
+
+
+def test_every_byte_flip_in_the_head_of_an_export_is_refused_or_reproduced():
+    """Each byte of the header and the first two records, flipped three
+    ways: a ReplayMismatch or a ledger that re-exports the flipped bytes,
+    never another exception."""
+    data = rejections_export()
+    _, records, _ = _decode_export(data)
+    head = len(_encode_export(0, records[:2], [])) - 4  # less the footer's count
+    for at in range(head):
+        for mask in (0x01, 0x80, 0xFF):
+            flipped = bytearray(data)
+            flipped[at] ^= mask
+            _refused_or_reproduced(bytes(flipped))
+
+
+@pytest.mark.parametrize("cut, message", [
+    (3, "needed 4 bytes at offset 0"),  # inside the magic
+    (5, "needed 2 bytes at offset 4"),  # inside the version
+    (13, "needed 8 bytes at offset 6"),  # inside the final height
+    (17, "needed 4 bytes at offset 14"),  # inside the transaction count
+    (18, "needed 8 bytes at offset 18"),  # before the first record
+    (26, "needed 1 bytes at offset 26"),  # before its status flag
+    (27, "needed 1 bytes at offset 27"),  # before its deploy flag
+    (31, "needed 4 bytes at offset 28"),  # inside its caller's length
+    (95, "needed 64 bytes at offset 32"),  # inside its caller key
+    (6000, "needed 83 bytes at offset 5986"),  # inside a later record's args
+    (12099, "needed 32 bytes at offset 12077"),  # inside the footer's last digest
+])
+def test_a_truncated_export_names_where_it_ran_out(cut, message):
+    data = rejections_export()
+    assert len(data) == 12109
+    with pytest.raises(ReplayMismatch) as refused:
+        Ledger.replay(data[:cut])
+    assert str(refused.value) == f"malformed export: {message}, stream exhausted"
+
+
+def test_an_export_with_a_trailing_byte_is_refused():
+    with pytest.raises(ReplayMismatch) as refused:
+        Ledger.replay(rejections_export() + b"\x00")
+    assert str(refused.value) == "malformed export: 1 trailing bytes after expected end"
+
+
 # -- model-based check --------------------------------------------------------------
 
 

@@ -95,6 +95,25 @@ def test_views_read_their_version_after_later_puts():
     assert list(later.items()) == [(KEYS[0], "a"), (KEYS[1], "B"), (KEYS[2], "c")]
 
 
+def test_the_newest_version_iterates_values_without_a_lookup_per_key(monkeypatch):
+    """values() and items() of the newest version read the dict itself; an
+    older version's still looks each key up, and reads its own values."""
+    newest = VersionedMap()
+    for i, key in enumerate(KEYS):
+        newest = put(newest, key, i)
+    older, newest = newest, put(newest, KEYS[0], "new")
+    looked_up = []
+    lookup = VersionedMap.__getitem__
+    monkeypatch.setattr(VersionedMap, "__getitem__",
+                        lambda self, key: looked_up.append(key) or lookup(self, key))
+    assert list(newest.values()) == ["new", *range(1, 6)]
+    assert list(newest.items()) == [(KEYS[0], "new"), *zip(KEYS[1:], range(1, 6))]
+    assert looked_up == []
+    assert list(older.values()) == list(range(6))
+    assert list(older.items()) == list(zip(KEYS, range(6)))
+    assert looked_up == KEYS + KEYS
+
+
 def test_a_replaced_value_lives_only_while_a_version_reads_it():
     class Value:
         pass
