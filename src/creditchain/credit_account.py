@@ -16,6 +16,7 @@ The contract itself cannot check the signature — it never learns the true
 keys — but anyone the customer later briefs can.
 
 Field rules enforced on-chain: the two account keys are fixed at creation;
+the commitment is write-once by the institution's account key;
 data is rewritable by the institution until the expiration block passes;
 the next-account pointer is write-once by the customer; expiration moves
 only when one party proposes a value and the other accepts that same value.
@@ -82,6 +83,8 @@ class CreditAccountContract:
     @staticmethod
     def apply(state: CreditAccountState, ctx: CallContext, function: str, args: bytes) -> CreditAccountState:
         if function == "commit":
+            if ctx.caller != state.institution_key:
+                raise ContractRejected("NotInstitution")
             if state.commitment is not None:
                 raise ContractRejected("AlreadyCommitted")
             # Stored opaquely: validity is judged off-chain by whoever is
@@ -238,8 +241,9 @@ def commit_account(led: Ledger, caller: crypto.KeyPair, institution_identity: cr
                    account: Address, customer_identity: crypto.PublicKey) -> CallReceipt:
     """Sign the commitment binding and store it in the account contract.
 
-    ``caller`` is normally the institution's account key (keeping the
-    transaction unlinkable); the signature inside is by the institution's
+    ``caller`` must be the institution's account key (keeping the
+    transaction unlinkable; the contract refuses any other caller with
+    ``NotInstitution``); the signature inside is by the institution's
     registered identity, which is the whole point.
     """
     signature = sign_commitment(institution_identity, account, customer_identity)

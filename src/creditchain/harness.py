@@ -681,10 +681,12 @@ def audit_replay(world: SimWorld) -> None:
     height, which the export's footer carries and replay checks.
 
     The world's own ledger admitted every transaction in its log, so the
-    replay takes those signatures as given (``admitted_by``) and re-verifies
-    only records that differ from that log.  A lender's replay verifies them
-    all; only a bad signature written into the log behind the ledger's back,
-    whose re-execution still matches the live states, passes this sweep."""
+    replay takes those signatures as given (``admitted_by``): a record whose
+    bytes spell the logged transaction at its position is that same object,
+    and only records that differ from that log are decoded and re-verified.
+    A lender's replay verifies them all; only a bad signature written into
+    the log behind the ledger's back, whose re-execution still matches the
+    live states, passes this sweep."""
     try:
         Ledger.replay(world.ledger.export(), admitted_by=world.ledger)
     except ReplayMismatch as exc:

@@ -32,15 +32,16 @@ verifies under its own public key, so the check could never fail there.
 Every logged transaction therefore carries a valid signature.  A lender
 replays with ``Ledger.replay(data)``, which verifies every signature.  The
 audit of a live ledger's own export passes ``admitted_by=`` that ledger and
-takes as given what it admitted: a record equal, field for field, to the
-transaction at the same position in that ledger's log is admitted without
-the check, and every other record is checked.  The one thing this audit no
-longer catches is a log entry written behind the ledger's back (``_log``
-edited directly) with a bad signature whose re-execution still reproduces
-the live states; every lender replay refuses it.  The attribution audit
-checks the signatures inside contract state, commitments and record fills,
-by signing again with the world's own keys and comparing bytes, which
-relies on Ed25519 signing being deterministic (RFC 8032) as ``call`` does.
+takes as given what it admitted: a record whose bytes spell the transaction
+at the same position in that ledger's log decodes to that very object, which
+is admitted without the check, and every other record is decoded and
+checked.  The one thing this audit no longer catches is a log entry written
+behind the ledger's back (``_log`` edited directly) with a bad signature
+whose re-execution still reproduces the live states; every lender replay
+refuses it.  The attribution audit checks the signatures inside contract
+state, commitments and record fills, by signing again with the world's own
+keys and comparing bytes, which relies on Ed25519 signing being
+deterministic (RFC 8032) as ``call`` does.
 
 Determinism is the load-bearing property.  Contract addresses hash the
 deployer key, the global transaction sequence number and a creation index
@@ -57,7 +58,9 @@ one buffer, a blob's length and then the bytes object the transaction
 already holds, so it builds no per-field copies.  Decoding an export reads
 it in one pass by offset and shares repeated values: equal caller keys,
 target addresses and function names become one object each, which every
-replayed ``Transaction`` holds.  The footer's state digests are kept on
+replayed ``Transaction`` holds.  The audit's replay shares more: each record
+its admitting ledger already holds is that ledger's own ``Transaction``, so
+the replayed log adds no copy of it.  The footer's state digests are kept on
 each contract's record beside the state they were computed from, so an
 export encodes only the states that changed since the last digest, and a
 replayed ledger re-exports without encoding any.
@@ -67,9 +70,10 @@ from __future__ import annotations
 
 import io
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cache
-from typing import Any, ClassVar, Optional, Protocol
+from typing import Any, ClassVar, NamedTuple, Optional, Protocol
 
 from . import codec, crypto
 
@@ -192,8 +196,11 @@ def make_transaction(caller: crypto.KeyPair, target: Optional[Address], function
     )
 
 
-@dataclass(frozen=True, slots=True)
-class CallReceipt:
+class CallReceipt(NamedTuple):
+    """What ``submit`` returns.  A named tuple rather than a frozen
+    dataclass: every transaction builds one, and a named tuple of this size
+    builds in under a third of the time."""
+
     accepted: bool
     reason: Optional[str]
     block: int
@@ -583,8 +590,9 @@ class Ledger:
         per transaction (block, status, deploy flag, caller, target,
         function, args, signature), then a footer of per-contract state
         digests for replay verification.  Fields go straight into one
-        buffer, blobs through ``codec.write_blob``, so the only large
-        allocation is the export itself.
+        buffer, a record's fixed-width head in one ``struct`` pack and its
+        blobs through ``codec.write_blob``, so the only large allocation is
+        the export itself.
         """
         out = io.BytesIO()
         write = out.write
@@ -592,11 +600,10 @@ class Ledger:
         write(codec.u16(EXPORT_VERSION))
         write(codec.u64(self._height))
         write(codec.u32(len(self._log)))
+        pack_head = _RECORD_HEAD.pack
         for entry in self._log:
             tx = entry.tx
-            write(codec.u64(entry.block))
-            write(codec.u8(0 if entry.accepted else 1))
-            write(codec.u8(1 if tx.is_deploy() else 0))
+            write(pack_head(entry.block, not entry.accepted, tx.target is None))
             codec.write_blob(write, tx.caller)
             codec.write_blob(write, b"" if tx.target is None else tx.target.digest)
             codec.write_blob(write, codec.text(tx.function))
@@ -624,26 +631,29 @@ class Ledger:
 
         A lender passes no ``admitted_by`` and so verifies every signature.
         ``admitted_by`` is for a ledger auditing its own export: a record
-        whose transaction equals, field for field, the one at the same
-        position in ``admitted_by``'s log goes to ``submit`` without the
-        signature check, as ``call``/``deploy`` do; any other record, one
-        past the end of that log too, is checked.  It takes that ledger's
-        log as admitted, so a bad signature written into ``_log`` behind its
-        back is not noticed here when re-execution still reproduces the states.
+        whose bytes spell the transaction at the same position in
+        ``admitted_by``'s log decodes to that very object (``_decode_export``)
+        and goes to ``submit`` without the signature check, as
+        ``call``/``deploy`` do; any other record, one past the end of that
+        log too, is decoded and checked as in a lender's replay.  It takes
+        that ledger's log as admitted, so a bad signature written into
+        ``_log`` behind its back is not noticed here when re-execution still
+        reproduces the states.
         """
+        admitted = [] if admitted_by is None else admitted_by._log
         try:
-            final_height, records, footer = _decode_export(data)
+            final_height, records, footer = _decode_export(data, admitted)
         except ValueError as exc:  # codec.DecodeError or a bad address
             raise ReplayMismatch(f"malformed export: {exc}") from exc
 
-        admitted = [] if admitted_by is None else admitted_by._log
         ledger = cls()
         for i, (block, rejected, tx) in enumerate(records):
-            if block < ledger.height:
-                raise ReplayMismatch(f"transaction {i} block number out of order")
-            ledger.advance_block(block - ledger.height)
+            if block != ledger.height:
+                if block < ledger.height:
+                    raise ReplayMismatch(f"transaction {i} block number out of order")
+                ledger.advance_block(block - ledger.height)
             try:
-                own = i < len(admitted) and admitted[i].tx == tx
+                own = i < len(admitted) and admitted[i].tx is tx
                 accepted = (ledger._submit_own if own else ledger.submit)(tx).accepted
             except LedgerError as exc:
                 raise ReplayMismatch(f"transaction {i} failed to re-execute: {exc}") from exc
@@ -663,11 +673,30 @@ class Ledger:
         return ledger
 
 
-_RECORD_HEAD = struct.Struct(">QBB").unpack_from  # block, status, deploy flag
+_RECORD_HEAD = struct.Struct(">QBB")  # block, status, deploy flag
 _U32_AT = struct.Struct(">I").unpack_from
 
 
-def _decode_export(data: bytes) -> tuple[int, list[tuple[int, bool, Transaction]], list[tuple[bytes, bytes]]]:
+def _spelled_at(data: bytes, pos: int, tx: Transaction) -> int:
+    """The offset just past the record whose head is at ``pos`` if its flags
+    and five blobs spell ``tx`` as ``export`` writes it, else -1; the head
+    must be in bounds.  Each blob and its length prefix are compared in
+    place, so nothing is sliced; the blob goes first, since ``startswith``
+    is False for bytes past the end, and once it matched the prefix before
+    it is in bounds."""
+    if data[pos + 8] > 1 or data[pos + 9] != (tx.target is None):
+        return -1
+    pos += 10
+    target = b"" if tx.target is None else tx.target.digest
+    for field in (tx.caller, target, codec.text(tx.function), tx.args, tx.signature):
+        if not data.startswith(field, pos + 4) or _U32_AT(data, pos)[0] != len(field):
+            return -1
+        pos += 4 + len(field)
+    return pos
+
+
+def _decode_export(data: bytes, admitted: Sequence[LogEntry] = ()) -> tuple[
+        int, list[tuple[int, bool, Transaction]], list[tuple[bytes, bytes]]]:
     """Split an export into (final height, [(block, rejected, tx)], [(address, digest)]).
 
     Accepts only the canonical encoding ``Ledger.export`` writes: flags are
@@ -677,6 +706,13 @@ def _decode_export(data: bytes) -> tuple[int, list[tuple[int, bool, Transaction]
     keys, target addresses and function names decode to one shared object
     each, found through tables that live only for this call; each distinct
     function name's UTF-8 is decoded once.
+
+    ``admitted`` is the log of a ledger that admitted these records, for an
+    audit of that ledger's own export: a record whose flags and five blobs
+    spell the transaction at the same position in it is returned as
+    that very ``Transaction`` object, and nothing is decoded for it.  Every
+    other record is decoded as without ``admitted``, so the records returned
+    are equal either way and so is any error raised.
 
     Past the header, one pass by offset: a record is one ``struct`` read of
     its head, then five blobs (``codec.blob_at``) in the order ``export``
@@ -693,6 +729,7 @@ def _decode_export(data: bytes) -> tuple[int, list[tuple[int, bool, Transaction]
     end = len(data)
     pos = end - header.remaining()
     blob_at = codec.blob_at
+    read_head = _RECORD_HEAD.unpack_from
     callers: dict[bytes, bytes] = {}
     targets: dict[bytes, Address] = {}
     functions: dict[bytes, str] = {}
@@ -700,7 +737,11 @@ def _decode_export(data: bytes) -> tuple[int, list[tuple[int, bool, Transaction]
     for i in range(count):
         if end - pos < 10:  # the u64 block, then two u8 flags
             raise codec.exhausted(8, pos) if end - pos < 8 else codec.exhausted(1, end)
-        block, rejected, is_deploy = _RECORD_HEAD(data, pos)
+        block, rejected, is_deploy = read_head(data, pos)
+        if i < len(admitted) and (stop := _spelled_at(data, pos, tx := admitted[i].tx)) >= 0:
+            records.append((block, bool(rejected), tx))
+            pos = stop
+            continue
         caller, pos = blob_at(data, pos + 10, end)
         target_raw, pos = blob_at(data, pos, end)
         function_raw, pos = blob_at(data, pos, end)

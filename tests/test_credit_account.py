@@ -157,7 +157,7 @@ def test_garbage_commitment_is_stored_but_never_verifies(led, views, account):
     """The contract cannot check the signature — it stores whatever arrives.
     The check happens off-chain, where it reliably fails."""
     cust, inst = views
-    receipt = led.call(cust.customer, account, "commit", b"not a signature")
+    receipt = led.call(inst.institution, account, "commit", b"not a signature")
     assert receipt.accepted
     state = led.read_state(account)
     inst_id = crypto.generate_keypair(b"inst true identity")

@@ -490,6 +490,25 @@ def test_audit_attribution_refuses_a_commitment_over_another_account():
     assert ("acct2", False, False) in helpers.attribution_verdicts(world)
 
 
+def test_only_the_institution_commits_so_a_stranger_cannot_lock_it_out():
+    """Whoever sees an account deployed could once commit junk to it first;
+    the commitment is write-once, so the institution's own commit was then
+    refused and the attribution audit failed."""
+    from creditchain import credit_account as accounts
+
+    world = run_scenario(ATTRIBUTION).world
+    handle = world.account("acct2")
+    refused = world.ledger.call(crypto.generate_keypair(b"stranger"), handle.address,
+                                "commit", bytes(64))
+    assert (refused.accepted, refused.reason) == (False, "NotInstitution")
+    assert world.ledger.read_state(handle.address).commitment is None
+    assert accounts.commit_account(world.ledger, handle.institution_view.institution,
+                                   world.actor("bank"), handle.address,
+                                   world.actor("ana").public).accepted
+    harness.audit_attribution(world)
+    assert ("acct2", True, True) in helpers.attribution_verdicts(world)
+
+
 def test_audit_attribution_refuses_a_record_signed_by_another_key():
     world = run_scenario(ATTRIBUTION).world
     handle = world.records["note"]

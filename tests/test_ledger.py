@@ -21,6 +21,7 @@ from creditchain.ledger import (
     Address,
     LAST_HEIGHT,
     BadSignature,
+    CallReceipt,
     ChainFull,
     ConstructorRejected,
     ContractRejected,
@@ -427,6 +428,18 @@ def test_a_bad_signature_written_into_the_log_passes_only_its_own_audit(led, ali
         Ledger.replay(data)
 
 
+def test_the_audit_replay_logs_the_admitting_ledgers_own_transactions(lifecycle_world):
+    """Each record of a ledger's own export decodes, with that ledger's log,
+    to the very object the log holds; a lender's replay shares none."""
+    for live in (lifecycle_world.ledger, rejections_ledger()):
+        data = live.export()
+        audited = Ledger.replay(data, admitted_by=live).log
+        assert len(audited) == len(live.log)
+        assert all(mine.tx is theirs.tx for mine, theirs in zip(audited, live.log))
+        full = Ledger.replay(data).log
+        assert not any(mine.tx is theirs.tx for mine, theirs in zip(full, live.log))
+
+
 @st.composite
 def _export_mutations(draw, data, foreign):
     """``data`` with one byte flipped or cut short, or its records with one
@@ -799,6 +812,17 @@ def test_a_receipt_names_what_its_transaction_committed(led, alice):
     assert spawned.committed == (derive_address(alice.public.to_bytes(), spawned.seq, 1),)
 
 
+def test_a_receipt_refuses_assignment_and_builds_from_keywords(led, alice):
+    receipt = led.call(alice, deploy_probe(led, alice), "set", b"x")
+    with pytest.raises(AttributeError):
+        receipt.accepted = False
+    # as ``helpers.ProtocolFuzzer`` builds one for a refused deployment
+    built = CallReceipt(accepted=False, reason="BadArguments", block=led.height, seq=-1)
+    assert (built.accepted, built.reason, built.block, built.seq) == (False, "BadArguments",
+                                                                       led.height, -1)
+    assert built.created == built.committed == ()
+
+
 def test_a_rejected_call_commits_nothing(led, alice):
     a = deploy_probe(led, alice)
     b = deploy_probe(led, alice)
@@ -1006,11 +1030,16 @@ def test_mutated_export_is_refused_or_reproduced(data):
 
 
 @functools.cache
-def rejections_export():
-    """The export of ``scenarios/rejections.scn``: a refused deployment and
+def rejections_ledger():
+    """The ledger of ``scenarios/rejections.scn``: a refused deployment and
     refused calls among accepted ones."""
     path = Path(__file__).parent.parent / "scenarios" / "rejections.scn"
-    return run_scenario(path.read_text()).world.ledger.export()
+    return run_scenario(path.read_text()).world.ledger
+
+
+@functools.cache
+def rejections_export():
+    return rejections_ledger().export()
 
 
 def _refused_or_reproduced(data):
@@ -1042,6 +1071,48 @@ def test_every_byte_flip_in_the_head_of_an_export_is_refused_or_reproduced():
             flipped = bytearray(data)
             flipped[at] ^= mask
             _refused_or_reproduced(bytes(flipped))
+
+
+def _decodes_alike_with_the_admitting_log(data):
+    """``_decode_export`` with the rejections ledger's log returns what it
+    returns without, or raises the same exception with the same message."""
+    def outcome(*admitted):
+        try:
+            return "decoded", _decode_export(data, *admitted)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(rejections_ledger()._log) == outcome()
+
+
+def test_the_admitting_log_decodes_every_prefix_alike():
+    data = rejections_export()
+    for cut in [*range(512), *range(512, len(data), 5)]:
+        _decodes_alike_with_the_admitting_log(data[:cut])
+
+
+def test_the_admitting_log_decodes_every_flipped_record_head_and_length_alike():
+    """Flips of 0x01 and 0x80 at every byte of the header, at both flags of
+    every record and the low byte of each of its five length prefixes (where
+    a flip changes how the record parses), and at every 41st byte, which
+    lands in each kind of field.  Every byte would take twenty times as long."""
+    data = rejections_export()
+    _, records, _ = _decode_export(data)
+    positions = {*range(18), *range(0, len(data), 41)}
+    at = 18
+    for _, _, tx in records:
+        positions.update((at + 8, at + 9))
+        at += 10
+        for field in (tx.caller, b"" if tx.target is None else tx.target.digest,
+                      codec.text(tx.function), tx.args, tx.signature):
+            positions.add(at + 3)
+            at += 4 + len(field)
+    flipped = bytearray(data)
+    for at in sorted(positions):
+        for mask in (0x01, 0x80):
+            flipped[at] ^= mask
+            _decodes_alike_with_the_admitting_log(bytes(flipped))
+            flipped[at] ^= mask
 
 
 @pytest.mark.parametrize("cut, message", [
